@@ -53,6 +53,17 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                         help="ignore --cache and always simulate")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _sweep_options(args: argparse.Namespace):
     """(jobs, cache) from parsed flags; --no-cache wins."""
     cache = None if args.no_cache else args.cache
@@ -257,10 +268,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shard a client population across a multi-node fleet "
         "(gossip + two-level placement)",
     )
-    fleet.add_argument("--nodes", type=int, default=4,
+    fleet.add_argument("--nodes", type=_positive_int, default=4,
                        help="complete x86+ARM+FPGA nodes in the fleet")
-    fleet.add_argument("--clients", type=int, default=10_000,
-                       help="total clients across all cohorts")
+    fleet.add_argument("--clients", type=_positive_int, default=10_000,
+                       help="total clients across all cohorts (an app "
+                       "dealt none is left out)")
     fleet.add_argument("--calls", type=int, default=5,
                        help="scheduler calls per client")
     fleet.add_argument("--apps", nargs="+", default=None,
@@ -602,6 +614,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     specs = []
     for index, app in enumerate(apps):
         clients = per_app + (args.clients - per_app * len(apps) if index == 0 else 0)
+        if not clients:
+            # Fewer clients than apps: the first app is dealt them all.
+            continue
         specs.append(
             CohortSpec(
                 app,

@@ -24,7 +24,7 @@ Determinism contract (tested):
 * replaying the same config replays every record and counter.
 
 Cohort-scale populations (the 10k-client ``fleet_stress`` shape) are
-sharded across nodes at *assignment time*: clients are walked in global
+sharded across nodes at *assignment time*: clients are placed in global
 arrival order, the router's load view refreshes only at gossip-interval
 boundaries (the stale-load model, quantized), and each node then runs
 its assigned sub-cohorts through the vectorized
@@ -35,7 +35,6 @@ of the fleet's hardware clock by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -85,6 +84,30 @@ def node_seeds(seed: int, n_nodes: int) -> list[int]:
     """
     children = np.random.SeedSequence(seed).spawn(n_nodes)
     return [int(child.generate_state(1)[0]) for child in children]
+
+
+def _arrival_schedule(
+    specs: Sequence[CohortSpec], interval_s: float
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """The cohort clients' arrivals in the order sharding places them.
+
+    Returns ``(per-spec arrival times, order, boundaries, staleness)``.
+    ``order`` sorts every client by arrival time, then spec index, then
+    client index; for the ``k``-th client in that order,
+    ``boundaries[k]`` is the last gossip boundary at or before its
+    arrival and ``staleness[k]`` its arrival's distance past it.
+    """
+    arrivals = [sample_arrivals(spec) for spec in specs]
+    times = np.concatenate([np.empty(0), *arrivals])
+    # The concatenation is in (spec, client) order, which a stable
+    # sort keeps among equal times (-0.0 and 0.0 are equal here).
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    # Boundaries start at 0.0 and only grow, so an arrival at -0.0
+    # belongs to the 0.0 boundary (+ 0.0 turns -0.0 into 0.0) and is
+    # -0.0 seconds stale.
+    boundaries = np.floor(ordered / interval_s) * interval_s + 0.0
+    return arrivals, order, boundaries, ordered - boundaries
 
 
 @dataclass(frozen=True)
@@ -282,71 +305,81 @@ class FleetDeployment:
     ) -> tuple[list[list[CohortSpec]], list[int]]:
         """Assign every client of every spec to a node on stale load.
 
-        Clients are walked in global arrival order; the router's
-        per-node client-count view refreshes only at gossip-interval
-        boundaries (each client's observed staleness is recorded), and
-        placement is power-of-two-choices over that stale view. Each
-        node's sub-spec keeps its clients in original client-index
+        Clients are placed in global arrival order (ties by spec, then
+        client index); the router's per-node client-count view
+        refreshes only at gossip-interval boundaries, and placement is
+        power-of-two-choices over that stale view: the node of the pair
+        with the lower stale count wins, ties going to the lower index.
+        Each node's sub-spec keeps its clients in original client-index
         order with their exact arrival times (``explicit`` law), so a
         1-node fleet reproduces the original cohort bit for bit.
+
+        A pure function of ``(config, specs)``: it records nothing, and
+        each call draws from a fresh derived generator, so inspecting a
+        sharding and then calling :meth:`run_cohorts` (which calls this)
+        executes exactly the sharding inspected.
 
         Returns ``(per-node spec lists, clients assigned per node)``.
         """
         specs = tuple(specs)
         n = len(self.nodes)
-        arrivals = [sample_arrivals(spec) for spec in specs]
-        order = sorted(
-            (float(arr[ci]), si, ci)
-            for si, arr in enumerate(arrivals)
-            for ci in range(len(arr))
+        arrivals, order, boundaries, _staleness = _arrival_schedule(
+            specs, self.config.gossip_interval_s
         )
-        interval = self.config.gossip_interval_s
-        # A fresh derived generator per call (not the cached stateful
-        # stream): sharding is a pure function of (config, specs), so
-        # inspecting a sharding with shard_cohorts() and then running
-        # run_cohorts() executes exactly the sharding inspected.
-        rng = self._streams.spawn("cohort-shard").stream("assign")
-        true_counts = [0] * n
-        stale_counts = [0] * n
-        last_boundary = 0.0
-        assignment = [np.zeros(len(arr), dtype=np.int64) for arr in arrivals]
-        for t, si, ci in order:
-            boundary = math.floor(t / interval) * interval
-            if boundary > last_boundary:
-                stale_counts = list(true_counts)
-                last_boundary = boundary
-            self.gossip.record_staleness(t - last_boundary)
-            if n == 1:
-                node = 0
-            else:
-                i, j = rng.choice(n, size=2, replace=False)
-                i, j = int(i), int(j)
-                if stale_counts[i] < stale_counts[j]:
-                    node = i
-                elif stale_counts[j] < stale_counts[i]:
-                    node = j
-                else:
-                    node = min(i, j)
-            true_counts[node] += 1
-            assignment[si][ci] = node
+        m = len(order)
+        counts = np.zeros(n, dtype=np.int64)
+        placed = np.zeros(m, dtype=np.int64)
+        if n == 1:
+            counts[0] = m
+        else:
+            rng = self._streams.spawn("cohort-shard").stream("assign")
+            # One call draws what m sequential Generator.choice(n, 2,
+            # replace=False) calls would: Floyd's two draws, from
+            # [0, n-2] and [0, n-1] (a repeat of the first becomes
+            # n-1), then one that shuffles the pair. The pick is
+            # symmetric in the pair, so the shuffle draw goes unused.
+            draws = rng.integers(
+                0, np.tile(np.array([n - 1, n, 2], dtype=np.int32), m),
+                dtype=np.int32,
+            ).reshape(m, 3)
+            first = draws[:, 0]
+            second = np.where(draws[:, 1] == first, n - 1, draws[:, 1])
+            # A segment is the run of clients on one gossip boundary;
+            # all of them see the counts as of the segment's start.
+            starts = np.flatnonzero(np.diff(boundaries)) + 1
+            edges = [0, *starts.tolist(), m]
+            index = np.arange(n)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                # Ranked by (stale count, node index), the pick is the
+                # lower rank of the pair.
+                rank = counts * n + index
+                picks = np.minimum(rank[first[lo:hi]], rank[second[lo:hi]]) % n
+                placed[lo:hi] = picks
+                counts += np.bincount(picks, minlength=n)
+        assignment = np.empty(m, dtype=np.int64)
+        assignment[order] = placed
 
         per_node: list[list[CohortSpec]] = [[] for _ in range(n)]
-        for si, spec in enumerate(specs):
+        offset = 0
+        for spec, times in zip(specs, arrivals):
+            nodes = assignment[offset : offset + len(times)]
+            offset += len(times)
             for node in range(n):
-                indexes = np.flatnonzero(assignment[si] == node)
+                indexes = np.flatnonzero(nodes == node)
                 if not len(indexes):
                     continue
-                times = tuple(float(arrivals[si][ci]) for ci in indexes)
                 per_node[node].append(
                     CohortSpec(
                         app=spec.app,
-                        clients=len(times),
+                        clients=len(indexes),
                         calls=spec.calls,
-                        arrival=ArrivalLaw(kind="explicit", times=times),
+                        arrival=ArrivalLaw(
+                            kind="explicit", times=tuple(times[indexes].tolist())
+                        ),
                         seed=spec.seed,
                     )
                 )
-        return per_node, true_counts
+        return per_node, counts.tolist()
 
     def run_cohorts(
         self,
@@ -366,11 +399,12 @@ class FleetDeployment:
         open-loop; nodes are concurrent, so the fleet horizon is the
         slowest node's).
 
-        The node runs execute one after another in this process:
-        sharding, which must finish before any node runs, takes almost
-        all of the time, so a worker pool over the node runs does not
-        pay (docs/fleet.md). ``jobs`` remains only for callers that
-        pass ``jobs=1``; any other value raises :class:`ValueError`.
+        The node runs execute one after another in this process: they
+        are a small share of the run, so a worker pool over them does
+        not pay (docs/fleet.md). ``jobs`` remains only for callers that
+        pass ``jobs=1``; any other value raises :class:`ValueError`. A
+        ``fault_plans`` key that is not a node index raises
+        :class:`FleetError`.
         """
         from repro.faults.cohort import resolve_cohort_faults
 
@@ -378,7 +412,19 @@ class FleetDeployment:
             raise ValueError(
                 f"run_cohorts runs node shards serially; jobs must be 1, got {jobs!r}"
             )
+        unknown = set(fault_plans or ()) - set(range(len(self.nodes)))
+        if unknown:
+            raise FleetError(
+                f"fault plans for nodes {', '.join(sorted(map(repr, unknown)))}, "
+                f"but the fleet's nodes are 0..{len(self.nodes) - 1}"
+            )
+        specs = tuple(specs)
         per_node, assigned = self.shard_cohorts(specs)
+        # Every placement read the stale view once: record those reads
+        # here, since shard_cohorts() records nothing.
+        self.gossip.record_staleness(
+            _arrival_schedule(specs, self.config.gossip_interval_s)[-1]
+        )
         work_nodes = [node for node in self.nodes if per_node[node.index]]
         # Every plan is resolved against the thresholds as they stand
         # before any node runs.

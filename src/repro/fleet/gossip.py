@@ -26,6 +26,8 @@ from repro.metrics import MetricsRegistry
 from repro.sim import PeriodicCall, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.fleet.node import FleetNode
 
 __all__ = ["GossipBus", "GossipError", "LoadDigest"]
@@ -192,13 +194,14 @@ class GossipBus:
     def observe_staleness(self, digest: LoadDigest) -> float:
         """Record (and return) how stale ``digest`` is right now."""
         staleness = self.sim.now - digest.published_at
-        self.record_staleness(staleness)
+        self._m_staleness.observe(staleness)
         return staleness
 
-    def record_staleness(self, seconds: float) -> None:
-        """Record a staleness observation directly (the cohort shard
-        path quantizes assignment times to gossip boundaries itself)."""
-        self._m_staleness.observe(seconds)
+    def record_staleness(self, seconds: np.ndarray) -> None:
+        """Record a 1-D array of staleness observations, in order (the
+        cohort shard path quantizes assignment times to gossip
+        boundaries itself)."""
+        self._m_staleness.observe_many(seconds)
 
     def load_skew(self) -> float:
         """max - min published load score (0.0 before round 0)."""

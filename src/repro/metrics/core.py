@@ -28,6 +28,7 @@ label value, so exports are byte-stable.
 
 from __future__ import annotations
 
+import array
 import bisect
 import hashlib
 from typing import Any, Callable, Optional, Sequence
@@ -79,6 +80,7 @@ class Metric:
     """
 
     kind = "metric"
+    __slots__ = ("name", "help", "labelnames", "_clock", "labelvalues", "_children")
 
     def __init__(
         self,
@@ -151,6 +153,7 @@ class Counter(Metric):
     """A monotonically increasing total."""
 
     kind = "counter"
+    __slots__ = ("_value",)
 
     def __init__(self, name, help="", labelnames=(), clock=None):
         super().__init__(name, help, labelnames, clock)
@@ -187,6 +190,10 @@ class Gauge(Metric):
     """
 
     kind = "gauge"
+    __slots__ = (
+        "_value", "_min", "_max", "_updates", "_t0", "_last_t", "_integral",
+        "_sampler",
+    )
 
     def __init__(self, name, help="", labelnames=(), clock=None):
         super().__init__(name, help, labelnames, clock)
@@ -288,6 +295,10 @@ class Histogram(Metric):
     """Fixed cumulative buckets plus an exact-percentile reservoir."""
 
     kind = "histogram"
+    __slots__ = (
+        "buckets", "reservoir_size", "_rng", "_bucket_counts", "_count", "_sum",
+        "_min", "_max", "_reservoir",
+    )
 
     def __init__(
         self,
@@ -312,7 +323,8 @@ class Histogram(Metric):
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._reservoir: list[float] = []
+        # Unboxed float64s: a full reservoir is 32 KiB instead of ~130.
+        self._reservoir = array.array("d")
 
     def _make_child(self) -> "Histogram":
         return Histogram(
@@ -341,6 +353,52 @@ class Histogram(Metric):
             slot = int(self._rng.integers(0, self._count))
             if slot < self.reservoir_size:
                 self._reservoir[slot] = value
+
+    def observe_many(self, values: np.ndarray | Sequence[float]) -> None:
+        """Observe every value of a 1-D array, in order.
+
+        Leaves the series in exactly the state a loop of :meth:`observe`
+        calls would (for non-NaN values): the same count, min, max and
+        buckets, the same sum added left to right, the same reservoir,
+        and the reservoir generator at the same stream position.
+        """
+        self._check_leaf()
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        m = len(values)
+        if not m:
+            return
+        seen = self._count
+        self._count += m
+        # cumsum adds left to right like repeated +=; np.sum would add
+        # pairwise and round differently.
+        self._sum = float(np.cumsum(np.concatenate(([self._sum], values)))[-1])
+        # argmin/argmax return the first of equal extremes, which is
+        # the one the scalar min()/max() fold keeps (this tells -0.0
+        # from 0.0).
+        low = float(values[np.argmin(values)])
+        high = float(values[np.argmax(values)])
+        self._min = low if self._min is None else min(self._min, low)
+        self._max = high if self._max is None else max(self._max, high)
+        added = np.bincount(
+            np.searchsorted(self.buckets, values, side="left"),
+            minlength=len(self._bucket_counts),
+        )
+        self._bucket_counts = [
+            n + k for n, k in zip(self._bucket_counts, added.tolist())
+        ]
+        fill = min(m, self.reservoir_size - len(self._reservoir))
+        self._reservoir.frombytes(values[:fill].tobytes())
+        if fill == m:
+            return
+        # Algorithm R past the fill: one draw per observation, each in
+        # [0, running count), taken in one call that consumes the same
+        # stream as the scalar draws.
+        if self._rng is None:
+            self._rng = _derived_rng(self.name)
+        slots = self._rng.integers(0, np.arange(seen + fill + 1, seen + m + 1))
+        kept = np.flatnonzero(slots < self.reservoir_size)
+        for slot, value in zip(slots[kept].tolist(), values[fill:][kept].tolist()):
+            self._reservoir[slot] = value
 
     @property
     def count(self) -> int:

@@ -1,8 +1,10 @@
-"""Fleet construction, config validation, and the per-client path."""
+"""Fleet construction, config validation, the per-client path, and
+what cohort sharding records."""
 
 import pytest
 
 from repro.core import SystemMode
+from repro.core.cohort import ArrivalLaw, CohortSpec
 from repro.fleet import FleetConfig, FleetDeployment, FleetError, node_seeds
 
 pytestmark = pytest.mark.metrics
@@ -81,3 +83,22 @@ class TestDeployment:
         fleet = FleetDeployment(FleetConfig(nodes=2, apps=APPS, seed=5))
         with pytest.raises(ValueError, match="jobs must be 1"):
             fleet.run_cohorts([], jobs=jobs)
+
+
+class TestCohortSharding:
+    def test_sharding_records_nothing_and_a_run_records_each_client_once(self):
+        fleet = FleetDeployment(FleetConfig(nodes=3, apps=APPS, seed=5))
+        specs = [
+            CohortSpec(
+                "digit.2000", 300, calls=2,
+                arrival=ArrivalLaw("uniform", start=0.0, span=9.0), seed=3,
+            ),
+        ]
+        before = fleet.metrics.snapshot()
+        _per_node, inspected = fleet.shard_cohorts(specs)
+        assert fleet.metrics.snapshot() == before
+        result = fleet.run_cohorts(specs)
+        assert result.assigned_per_node == inspected
+        staleness = fleet.metrics.get("fleet_gossip_staleness_seconds")
+        assert staleness.count == 300
+        fleet.stop()

@@ -5,7 +5,7 @@ import pytest
 from repro.core import SystemMode
 from repro.core.cohort import ArrivalLaw, CohortSpec
 from repro.faults import FaultPlan, FaultPlanError, FleetFaultPlan, fleet_fault_seeds
-from repro.fleet import FleetConfig, FleetDeployment
+from repro.fleet import FleetConfig, FleetDeployment, FleetError
 from repro.workloads import profile_for
 
 pytestmark = pytest.mark.metrics
@@ -89,3 +89,16 @@ class TestNodeOutageFailover:
         assert result.clients == 200
         assert result.fault_fallbacks > 0  # faults landed, clients completed
         assert len(result.node_results) == 2
+
+    def test_cohort_run_rejects_plans_for_nodes_it_does_not_have(self):
+        fleet = FleetDeployment(FleetConfig(nodes=3, apps=APPS, seed=2))
+        specs = [CohortSpec("digit.2000", 30, calls=1, seed=5)]
+        plan = FaultPlan.generate(0, horizon_s=10.0, kernels=KERNELS)
+        before = fleet.metrics.snapshot()
+        for key in (7, 3, -1, "x"):
+            with pytest.raises(FleetError, match=f"nodes {key!r},"):
+                fleet.run_cohorts(specs, fault_plans={0: plan, key: plan})
+        with pytest.raises(FleetError, match="nodes 'x', -1, 7, but"):
+            fleet.run_cohorts(specs, fault_plans={7: plan, -1: plan, "x": plan})
+        assert fleet.metrics.snapshot() == before  # nothing ran
+        fleet.stop()

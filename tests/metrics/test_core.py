@@ -2,8 +2,12 @@
 registry, exporters)."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -143,6 +147,108 @@ class TestHistogram:
 
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
+
+
+def _histogram_state(h):
+    """Everything a histogram series holds, floats as exact bit
+    patterns (``-0.0 == 0.0``, so plain float equality would miss a
+    sign): count, sum, min, max, buckets and the reservoir in slot
+    order."""
+    exact = float.hex
+    return (
+        h._count,
+        exact(h._sum),
+        None if h._min is None else exact(h._min),
+        None if h._max is None else exact(h._max),
+        list(h._bucket_counts),
+        [exact(v) for v in h._reservoir],
+    )
+
+
+def _observe_both(batches, reservoir_size, rng=True, tail=()):
+    """Feed ``batches`` to one histogram through observe_many and to a
+    twin through observe, then ``tail`` to both through observe (which
+    draws from the reservoir generator once it is full, so any stream
+    position difference shows); returns both states after each step."""
+    def make():
+        registry = MetricsRegistry(rng=RandomStreams(3) if rng else None)
+        return registry.histogram(
+            "h", buckets=(0.1, 1.0, 10.0), reservoir_size=reservoir_size
+        )
+
+    bulk, scalar = make(), make()
+    states = []
+    for batch in batches:
+        bulk.observe_many(np.asarray(batch, dtype=np.float64))
+        for value in batch:
+            scalar.observe(value)
+        states.append((_histogram_state(bulk), _histogram_state(scalar)))
+    for value in tail:
+        bulk.observe(value)
+        scalar.observe(value)
+    states.append((_histogram_state(bulk), _histogram_state(scalar)))
+    return states
+
+
+class TestObserveMany:
+    """``observe_many(values)`` leaves a series exactly as a loop of
+    ``observe(value)`` calls would."""
+
+    @pytest.mark.parametrize("rng", [True, False])
+    def test_batches_that_cross_a_small_reservoir(self, rng):
+        values = [0.1 * k + 0.01 for k in range(40)]
+        batches = [values[:3], values[3:11], [], values[11:29], values[29:]]
+        tail = [0.3, 7.0, 20.0, 0.05] * 10
+        for bulk, scalar in _observe_both(batches, 8, rng=rng, tail=tail):
+            assert bulk == scalar
+
+    def test_sum_is_added_left_to_right(self):
+        # Pairwise or compensated summation of these rounds differently
+        # from a left-to-right fold.
+        values = [1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3] * 50
+        bulk, scalar = _observe_both([values], 4096)[0]
+        assert bulk == scalar
+        total = float.fromhex(bulk[1])
+        assert total != math.fsum(values)
+        assert total != float(np.sum(values))
+
+    def test_empty_input_changes_nothing(self):
+        states = _observe_both([[], [0.5, 2.0], []], 1, tail=[1.0, 3.0])
+        assert states[0][0] == _observe_both([], 1)[0][0]  # still pristine
+        for bulk, scalar in states:
+            assert bulk == scalar
+
+    def test_first_of_equal_extremes_is_kept(self):
+        # min()/max() keep the earlier of equal values, so a -0.0 seen
+        # before 0.0 is the minimum (and the maximum).
+        for batch in ([-0.0, 0.0, -0.0], [0.0, -0.0], [-0.0]):
+            for bulk, scalar in _observe_both([batch, [0.0, -0.0]], 2):
+                assert bulk == scalar
+
+    def test_labelled_family_rejects_observe_many(self):
+        h = MetricsRegistry().histogram("lat", labelnames=("app",))
+        with pytest.raises(MetricError):
+            h.observe_many(np.array([0.5]))
+        with pytest.raises(MetricError):
+            h.observe_many(np.array([]))
+        h.labels(app="a").observe_many(np.array([0.5, 1.5]))
+        assert h.count == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+            max_size=60,
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+        reservoir_size=st.integers(min_value=1, max_value=20),
+        tail=st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=8),
+    )
+    def test_matches_a_loop_of_observe(self, values, cuts, reservoir_size, tail):
+        edges = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
+        batches = [values[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+        for bulk, scalar in _observe_both(batches, reservoir_size, tail=tail):
+            assert bulk == scalar
 
 
 class TestRegistry:

@@ -128,3 +128,25 @@ class TestThresholds:
         assert main(["thresholds", "--apps", "digit.2000", "cg.A"]) == 0
         out = capsys.readouterr().out
         assert "digit.2000" in out and "cg.A" in out
+
+
+class TestFleet:
+    def test_fewer_clients_than_apps_leaves_the_extra_apps_out(self, capsys):
+        assert main(["fleet", "--nodes", "2", "--clients", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "clients     : 4 in 1 cohorts" in out
+
+    def test_one_client_per_app_still_deals_every_app(self, capsys):
+        assert main(["fleet", "--nodes", "2", "--clients", "5"]) == 0
+        assert "clients     : 5 in 5 cohorts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--nodes", "0"), ("--nodes", "-2"), ("--clients", "0"),
+                        ("--clients", "three")]
+    )
+    def test_non_positive_sizes_get_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer >= 1, got {value!r}" in err
