@@ -29,7 +29,12 @@ from repro.core.runtime import spec_for
 from repro.experiments.report import REPORT_FIGURES as _FIGURES
 from repro.experiments.report import REPORT_TABLES as _TABLES
 from repro.popcorn.elf import dump_xelf
-from repro.workloads import PAPER_BENCHMARKS, available_workloads, profile_for
+from repro.workloads import (
+    PAPER_BENCHMARKS,
+    CalibrationError,
+    available_workloads,
+    profile_for,
+)
 
 __all__ = ["main"]
 
@@ -42,8 +47,8 @@ _MODES = {
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-sweep knobs shared by figure/table/report/bench."""
-    parser.add_argument("--jobs", default=None, metavar="N",
+    """The parallel-sweep knobs shared by figure/table/report."""
+    parser.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                         help="worker processes for sweep cells (0 or "
                         "'auto' = all CPUs; default: $REPRO_SWEEP_JOBS or 1)")
     parser.add_argument("--cache", default=None, metavar="DIR",
@@ -62,6 +67,30 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _jobs(text: str) -> int | str:
+    """An argparse type for ``--jobs``: ``auto`` or an integer >= 0."""
+    if text.strip().lower() == "auto":
+        return "auto"
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer >= 0, got {text!r}"
+        )
+    return value
+
+
+def _workload(text: str) -> str:
+    """An argparse type: a workload name with a calibrated profile."""
+    try:
+        profile_for(text)
+    except (KeyError, CalibrationError) as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
 
 
 def _sweep_options(args: argparse.Namespace):
@@ -92,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(figure)
 
     run = sub.add_parser("run", help="run one application on the testbed")
-    run.add_argument("app", help="workload name, e.g. digit.2000 or bfs.1000")
+    run.add_argument("app", type=_workload,
+                     help="workload name, e.g. digit.2000 or bfs.1000")
     run.add_argument("--mode", choices=sorted(_MODES), default="xar-trek")
     run.add_argument("--background", type=int, default=0,
                      help="MG-B load generators on the x86 host")
@@ -116,46 +146,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(report)
 
     compile_cmd = sub.add_parser("compile", help="run compiler steps A-G")
-    compile_cmd.add_argument("--apps", nargs="+", default=list(PAPER_BENCHMARKS))
+    compile_cmd.add_argument("--apps", nargs="+", type=_workload,
+                             default=list(PAPER_BENCHMARKS))
     compile_cmd.add_argument("--replicate-cus", action="store_true",
                              help="space-sharing: replicate compute units")
     compile_cmd.add_argument("--output-dir", default=None,
                              help="dump XELF binaries here")
 
     thresholds = sub.add_parser("thresholds", help="print step G's table")
-    thresholds.add_argument("--apps", nargs="+", default=list(PAPER_BENCHMARKS))
-
-    bench = sub.add_parser(
-        "bench",
-        help="time seeded figure-style scenarios (wall clock, events/sec)",
-    )
-    bench.add_argument("--scenarios", nargs="+", default=None,
-                       help="scenario names (default: all; see --list)")
-    bench.add_argument("--list", action="store_true", dest="list_scenarios",
-                       help="list available scenarios and exit")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced configs for CI smoke runs")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--json", default="BENCH_wallclock.json", metavar="FILE",
-                       help="write the report here ('-' to skip)")
-    bench.add_argument("--baseline", default=None, metavar="FILE",
-                       help="earlier bench JSON to compute speedups against")
-    bench.add_argument("--guard", default=None, metavar="FILE",
-                       help="committed bench JSON to guard events/sec "
-                       "against; exit 1 on a drop beyond --guard-drop")
-    bench.add_argument("--guard-drop", type=float, default=0.30,
-                       metavar="FRACTION",
-                       help="allowed events/sec drop vs --guard "
-                       "(default: 0.30)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run each scenario under cProfile; the top "
-                       "cumulative-time functions land in the report's "
-                       "per-scenario extra (numbers are for attribution, "
-                       "not speed — incompatible with --guard)")
-    bench.add_argument("--profile-out", default=None, metavar="DIR",
-                       help="with --profile, dump raw <scenario>.pstats "
-                       "files here for pstats/snakeviz drill-down")
-    _add_sweep_flags(bench)
+    thresholds.add_argument("--apps", nargs="+", type=_workload,
+                            default=list(PAPER_BENCHMARKS))
 
     chaos = sub.add_parser(
         "chaos",
@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the chaos report as JSON")
     chaos.add_argument("--emit-plan", default=None, metavar="FILE",
                        help="write the (possibly generated) plan here and exit")
-    chaos.add_argument("--jobs", default=None, metavar="N",
+    chaos.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                        help="run the baseline and chaos legs in N>1 pool "
                        "workers (0 or 'auto' = all CPUs; default: serial)")
     chaos.add_argument("--traffic", default=None, metavar="FILE",
@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--load", default=None, metavar="FILE",
                          help="load an existing trace JSON instead of "
                          "generating one")
-    traffic.add_argument("--apps", nargs="+", default=None,
+    traffic.add_argument("--apps", nargs="+", type=_workload, default=None,
                          help="applications the crowd calls (default: the "
                          "interactive benchmarks)")
     traffic.add_argument("--rate", type=float, default=3.0, metavar="PER_S",
@@ -244,19 +244,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a cohort-vectorized client population (O(cohorts) "
         "events for thousands of clients)",
     )
-    cohort.add_argument("--clients", type=int, default=10_000,
-                        help="total clients across all cohorts")
+    cohort.add_argument("--clients", type=_positive_int, default=10_000,
+                        help="total clients across all cohorts (an app "
+                        "dealt none is left out)")
     cohort.add_argument("--calls", type=int, default=5,
                         help="scheduler calls per client")
-    cohort.add_argument("--apps", nargs="+", default=None,
+    cohort.add_argument("--apps", nargs="+", type=_workload, default=None,
                         help="applications, one cohort each (default: the "
                         "paper benchmark set)")
     cohort.add_argument("--background", type=int, default=50,
                         help="static background processes on the x86 host")
     cohort.add_argument("--seed", type=int, default=0)
     cohort.add_argument("--reference", action="store_true",
-                        help="force the per-client reference path "
-                        "(also: REPRO_COHORT_REFERENCE=1)")
+                        help="force the per-client reference path")
     cohort.add_argument("--verify", action="store_true",
                         help="run both paths and assert bit-identical "
                         "per-client results (the differential oracle)")
@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "dealt none is left out)")
     fleet.add_argument("--calls", type=int, default=5,
                        help="scheduler calls per client")
-    fleet.add_argument("--apps", nargs="+", default=None,
+    fleet.add_argument("--apps", nargs="+", type=_workload, default=None,
                        help="applications, one cohort each (default: the "
                        "paper benchmark set)")
     fleet.add_argument("--background", type=int, default=20,
@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run an instrumented application set and report p50/p95/p99",
     )
-    metrics.add_argument("--apps", nargs="+", default=None,
+    metrics.add_argument("--apps", nargs="+", type=_workload, default=None,
                          help="explicit app list (default: sample like Figure 5)")
     metrics.add_argument("--set-size", type=int, default=10,
                          help="sampled set size when --apps is not given")
@@ -525,9 +525,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_cohort(args: argparse.Namespace) -> int:
-    import json
+def _deal_cohorts(args: argparse.Namespace):
+    """``(apps, specs)``: ``--clients`` dealt across ``--apps``.
 
+    Each app gets an equal share and the first also the remainder, as
+    one cohort whose arrival law cycles through uniform, poisson and
+    staggered. With fewer clients than apps the first app is dealt
+    them all, and an app dealt none gets no cohort.
+    """
     import numpy as np
 
     from repro.core.cohort import ArrivalLaw, CohortSpec
@@ -539,6 +544,8 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     specs = []
     for index, app in enumerate(apps):
         clients = per_app + (args.clients - per_app * len(apps) if index == 0 else 0)
+        if not clients:
+            continue
         specs.append(
             CohortSpec(
                 app,
@@ -552,6 +559,13 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
                 seed=int(rng.integers(2**32)),
             )
         )
+    return apps, specs
+
+
+def _cmd_cohort(args: argparse.Namespace) -> int:
+    import json
+
+    apps, specs = _deal_cohorts(args)
 
     def run(vectorized):
         runtime = build_system(apps, seed=args.seed)
@@ -602,35 +616,9 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    import numpy as np
-
-    from repro.core.cohort import ArrivalLaw, CohortSpec
     from repro.fleet import FleetConfig, FleetDeployment
 
-    apps = tuple(sorted(set(args.apps or PAPER_BENCHMARKS)))
-    laws = ("uniform", "poisson", "staggered")
-    rng = np.random.default_rng(args.seed)
-    per_app = args.clients // len(apps)
-    specs = []
-    for index, app in enumerate(apps):
-        clients = per_app + (args.clients - per_app * len(apps) if index == 0 else 0)
-        if not clients:
-            # Fewer clients than apps: the first app is dealt them all.
-            continue
-        specs.append(
-            CohortSpec(
-                app,
-                clients,
-                calls=args.calls,
-                arrival=ArrivalLaw(
-                    laws[index % len(laws)],
-                    start=float(rng.uniform(0.0, 5.0)),
-                    span=30.0,
-                ),
-                seed=int(rng.integers(2**32)),
-            )
-        )
-
+    apps, specs = _deal_cohorts(args)
     fleet = FleetDeployment(
         FleetConfig(
             nodes=args.nodes,
@@ -706,50 +694,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"json        : {args.json}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.wallclock import (
-        available_scenarios,
-        guard_events_per_sec,
-        run_bench,
-    )
-
-    if args.list_scenarios:
-        for name in available_scenarios():
-            print(name)
-        return 0
-    if args.profile and args.guard:
-        print("bench: --profile inflates wall clocks several-fold; "
-              "refusing to apply the events/sec guard to profiled numbers")
-        return 2
-    if args.profile_out and not args.profile:
-        print("bench: --profile-out requires --profile")
-        return 2
-    jobs, cache = _sweep_options(args)
-    report = run_bench(
-        scenarios=args.scenarios,
-        seed=args.seed,
-        quick=args.quick,
-        baseline=args.baseline,
-        jobs=jobs,
-        cache_dir=cache,
-        profile=args.profile,
-        profile_out=args.profile_out,
-    )
-    print(report.to_text())
-    if args.json and args.json != "-":
-        with open(args.json, "w") as handle:
-            handle.write(report.to_json())
-        print(f"json        : {args.json}")
-    if args.guard:
-        failures = guard_events_per_sec(report, args.guard, max_drop=args.guard_drop)
-        for failure in failures:
-            print(f"GUARD FAIL  : {failure}")
-        if failures:
-            return 1
-        print(f"guard       : events/sec within {args.guard_drop:.0%} of {args.guard}")
     return 0
 
 
@@ -843,8 +787,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_thresholds(args.apps)
     if args.command == "metrics":
         return _cmd_metrics(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "traffic":

@@ -566,8 +566,8 @@ class ApplicationRun:
     # AnyOf/Timeout pair, and no per-hop closures. Control flow, metric
     # touch points, and fallback/retry ordering mirror the generator
     # line-for-line; the equivalence is pinned by the differential oracle
-    # in tests/core/test_client_path_oracle.py and by the bench scenario
-    # checksums, which the chain must reproduce byte-identically.
+    # in tests/core/test_client_path_oracle.py and by the behaviour
+    # contract's checksums, which the chain must reproduce byte-identically.
 
     def _chain_fail(self, exc: BaseException) -> None:
         done = self._done

@@ -50,12 +50,11 @@ fallback counter. Faults on calls decided to a CPU target are no-ops.
 
 Bit-identity requires the run to start at simulated time 0.0 (so that
 ``0.0 + a == a`` exactly); :meth:`CohortPopulation.run` asserts this.
-Set ``REPRO_COHORT_REFERENCE=1`` to force the per-client path.
+Pass ``vectorized=False`` to run the per-client path.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -79,9 +78,6 @@ __all__ = [
     "RULES",
     "sample_arrivals",
 ]
-
-#: Environment variable that forces the per-client reference path.
-REFERENCE_ENV = "REPRO_COHORT_REFERENCE"
 
 #: Algorithm 2 rule names, in the fixed order used for rule codes.
 RULES = ("x86", "x86+reconfig", "arm", "arm+reconfig", "fpga", "arm-over-fpga")
@@ -254,7 +250,7 @@ class CohortRunResult:
         return {Target(i): int(c) for i, c in enumerate(counts) if c}
 
     def lines(self) -> list[str]:
-        """Deterministic summary lines (the bench checksum input).
+        """Deterministic summary lines (the contract checksum input).
 
         Floats are rendered with ``repr`` so the checksum only matches
         when the two paths are bit-identical, not merely close.
@@ -423,15 +419,12 @@ class CohortPopulation:
     def run(
         self,
         sim: Optional[Simulator] = None,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = True,
     ) -> CohortRunResult:
         """Simulate the whole population; return per-client results.
 
-        ``vectorized=None`` picks the fast path unless
-        ``REPRO_COHORT_REFERENCE`` is set in the environment.
+        ``vectorized=False`` runs the per-client reference path.
         """
-        if vectorized is None:
-            vectorized = not os.environ.get(REFERENCE_ENV)
         if sim is None:
             sim = Simulator()
         if sim.now != 0.0:

@@ -274,7 +274,7 @@ class XarTrekRuntime:
         self,
         specs,
         background: int = 0,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = True,
         fault_plan=None,
         resident_kernels=None,
     ):

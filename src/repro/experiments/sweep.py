@@ -583,7 +583,6 @@ def run_cells(
     cache: Optional[SweepCache | str | os.PathLike] = None,
     chunksize: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    min_cells: Optional[int] = None,
 ) -> SweepOutcome:
     """Execute cells, possibly in parallel, preserving emission order.
 
@@ -603,11 +602,7 @@ def run_cells(
     tens-of-milliseconds cells is a net slowdown, not a speedup. The
     chosen path lands in ``SweepOutcome.stats.mode`` and the
     ``sweep_runs_total{mode}`` counter; ``REPRO_SWEEP_MIN_CELLS=0``
-    disables the fallback. ``min_cells`` overrides the threshold for
-    this call alone — a caller that already ran :func:`warm_pool` has
-    paid the startup cost the threshold guards against, so it should
-    pass a small value (the bench's 27-cell grid otherwise never
-    reaches the default ``16 * workers`` bar and silently runs serial).
+    disables the fallback.
 
     The worker pool persists across calls (workers keep their warm
     compile caches); :func:`warm_pool` pre-spawns it ahead of a timed
@@ -629,11 +624,7 @@ def run_cells(
             pending.append(index)
     workers = 1
     mode = "serial"
-    threshold = (
-        min_cells
-        if min_cells is not None
-        else parallel_threshold(min(jobs, len(pending)))
-    )
+    threshold = parallel_threshold(min(jobs, len(pending)))
     use_pool = jobs > 1 and len(pending) > 1 and len(pending) >= threshold
     if use_pool:
         workers = min(jobs, len(pending))

@@ -10,7 +10,7 @@ Layout:
   and fallback policy (:class:`ResiliencePolicy`);
 * :mod:`repro.faults.harness` — the chaos harness
   (:func:`run_chaos`) behind ``repro chaos`` and the
-  ``chaos_stress`` bench scenario;
+  ``chaos_stress`` contract scenario;
 * :mod:`repro.faults.fleet` — per-node fault plans for multi-node
   fleets (:class:`FleetFaultPlan`), one injector per targeted node.
 """

@@ -36,7 +36,7 @@ from repro.faults.resilience import ResilienceConfig
 
 __all__ = ["BrownoutCriteria", "ChaosReport", "default_plan", "run_chaos"]
 
-#: Workload shape (mirrors the scale_stress bench scenario).
+#: Workload shape (mirrors the scale_stress contract scenario).
 _QUICK_CLIENTS, _QUICK_BACKGROUND = 250, 25
 _FULL_CLIENTS, _FULL_BACKGROUND = 1000, 50
 _CALLS_PER_CLIENT = 3

@@ -385,7 +385,7 @@ class FleetDeployment:
         self,
         specs: Sequence[CohortSpec],
         background: int = 0,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = True,
         fault_plans: Optional[dict[int, object]] = None,
         jobs: int = 1,
     ) -> FleetCohortResult:

@@ -323,7 +323,8 @@ def _bfs_profile(n_nodes: int) -> WorkloadProfile:
 def profile_for(name: str) -> WorkloadProfile:
     """The calibrated profile for a workload name.
 
-    Accepts the five Table 1 names, ``mg.B``, and ``bfs.<n_nodes>``.
+    Accepts the five Table 1 names, ``mg.B``, and ``bfs.<n_nodes>``
+    with ``n_nodes >= 1``.
     """
     if name in _PROFILES:
         return _PROFILES[name]
@@ -331,7 +332,9 @@ def profile_for(name: str) -> WorkloadProfile:
         try:
             n_nodes = int(name.split(".", 1)[1])
         except ValueError:
-            raise KeyError(f"bad BFS profile name {name!r}") from None
+            n_nodes = 0
+        if n_nodes < 1:
+            raise KeyError(f"bad BFS profile name {name!r}")
         return _bfs_profile(n_nodes)
     raise KeyError(f"no profile for workload {name!r}")
 

@@ -13,6 +13,8 @@ two paths are required to perform the same IEEE additions in the same
 order, so ``tobytes()`` equality is the bar, not ``allclose``.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core import build_system
 from repro.core.cohort import (
-    REFERENCE_ENV,
     RULES,
     ArrivalLaw,
     CohortError,
@@ -37,6 +38,7 @@ from repro.sim import Simulator
 from repro.thresholds import ThresholdEntry, ThresholdTable
 from repro.types import Target
 from repro.workloads import profile_for
+from tests.experiments.contract import cohort_stress_specs
 
 pytestmark = pytest.mark.metrics
 
@@ -370,13 +372,12 @@ class TestValidation:
         with pytest.raises(CohortError, match="time 0.0"):
             population.run(sim=sim)
 
-    def test_reference_env_forces_per_client_path(self, monkeypatch):
+    def test_vectorized_flag_selects_the_path(self):
         specs = [CohortSpec("digit.500", 3, calls=1)]
         table = _table_for(["digit.500"])
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        assert CohortPopulation(specs, thresholds=table).run().path == "reference"
-        monkeypatch.delenv(REFERENCE_ENV)
         assert CohortPopulation(specs, thresholds=table).run().path == "vectorized"
+        reference = CohortPopulation(specs, thresholds=table).run(vectorized=False)
+        assert reference.path == "reference"
 
 
 class TestMetricsRecording:
@@ -529,3 +530,21 @@ class TestRuntimeIntegration:
         )
         assert vec.lines() == ref.lines()
         assert vec.fault_fallbacks == ref.fault_fallbacks
+
+
+@pytest.mark.wallclock
+class TestVectorizedRate:
+    def test_cohort_stress_clears_the_acceptance_floor(self):
+        # The vectorization's acceptance floor: at least 500k logical
+        # client events per wall second on cohort_stress's 10k clients.
+        # An absolute rate, so it depends on the host; best of three
+        # runs, each on a fresh runtime built outside the timed region.
+        specs = cohort_stress_specs(0)
+        apps = tuple(spec.app for spec in specs)
+        best = 0.0
+        for _ in range(3):
+            runtime = build_system(apps, seed=0)
+            started = time.perf_counter()
+            result = runtime.run_cohorts(specs, background=50)
+            best = max(best, result.logical_events / (time.perf_counter() - started))
+        assert best >= 500_000

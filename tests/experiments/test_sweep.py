@@ -3,9 +3,8 @@
 The executor's contract is that *how* cells run (serial, process pool,
 cache) never changes *what* they produce — these tests pin that down
 with byte-level checksums, plus the satellite regressions: seed
-collisions, prebuilt-runtime validation, the persistent worker pool
-(whose absence once made the bench's parallel leg *slower* than
-serial), and the bench baseline schema guard.
+collisions, prebuilt-runtime validation, and the persistent worker
+pool (whose absence once made a parallel sweep *slower* than serial).
 """
 
 import os
@@ -38,7 +37,6 @@ from repro.experiments.sweep import (
     warm_pool,
 )
 from repro.experiments import sweep as sweep_module
-from repro.experiments.wallclock import load_report, run_scenario
 from repro.metrics import MetricsRegistry
 
 _MODES = (SystemMode.VANILLA_X86, SystemMode.XAR_TREK)
@@ -376,26 +374,3 @@ class TestSweepMetrics:
 
     def test_global_registry_exists(self):
         assert sweep_metrics() is sweep_metrics()
-
-
-class TestBenchIntegration:
-    def test_report_sweep_scenario_records_all_legs(self):
-        result = run_scenario("report_sweep", seed=1, quick=True, jobs=2)
-        extra = result.extra
-        assert extra["jobs"] == 2
-        assert extra["cells"] > 0
-        assert extra["serial_wall_s"] > 0
-        assert extra["parallel_wall_s"] > 0
-        assert extra["warm_cache_wall_s"] > 0
-        assert extra["cache_hits_warm"] == extra["cells"]
-        assert "extra" in result.to_dict()
-
-    def test_baseline_schema_mismatch_is_a_clear_error(self, tmp_path):
-        bad = tmp_path / "old.json"
-        bad.write_text('{"schema": "other-bench/9", "scenarios": []}')
-        with pytest.raises(ValueError, match="schema 'other-bench/9'"):
-            load_report(str(bad))
-        missing = tmp_path / "none.json"
-        missing.write_text('{"scenarios": []}')
-        with pytest.raises(ValueError, match="schema None"):
-            load_report(str(missing))

@@ -1,145 +1,34 @@
-"""The cohort_stress bench scenario: replay determinism and its guard.
+"""The ``cohort_stress`` population: replay determinism and its shape.
 
-``cohort_stress`` is the wall-clock proof of the cohort vectorization:
-thousands of clients in a handful of simulator events, with the
-events/sec headline computed over *logical* client events. These tests
-mirror the ``scale_stress`` coverage — same-seed replay must be
-byte-identical, the extra payload must expose the shape the scenario
-promises — plus the property the scenario exists to defend: the
-per-client reference path (``REPRO_COHORT_REFERENCE=1``) produces the
-identical checksum, so a vectorization bug can never hide behind the
-fast path in a bench run.
+``cohort_stress`` stands for the cohort vectorization: 10k clients
+carried by a few dozen simulator events. Replaying seed 0 must give
+identical lines and counters, and the run must have the shape the
+scenario promises.
 """
 
-import json
-from pathlib import Path
+from repro.core import build_system
+from tests.experiments.contract import cohort_stress_specs
 
-import pytest
 
-from repro.core.cohort import REFERENCE_ENV
-from repro.experiments.wallclock import (
-    BenchReport,
-    ScenarioResult,
-    available_scenarios,
-    guard_events_per_sec,
-    run_scenario,
-)
+def _run_cohort_stress(seed):
+    specs = cohort_stress_specs(seed)
+    runtime = build_system(tuple(spec.app for spec in specs), seed=seed)
+    return runtime.run_cohorts(specs, background=50)
 
 
 class TestCohortStress:
-    def test_scenario_is_registered(self):
-        assert "cohort_stress" in available_scenarios()
-
     def test_quick_run_is_deterministic_and_cohort_shaped(self):
-        first = run_scenario("cohort_stress", seed=0, quick=True)
-        second = run_scenario("cohort_stress", seed=0, quick=True)
-        assert first.checksum == second.checksum
-        assert first.events == second.events
+        first = _run_cohort_stress(0)
+        second = _run_cohort_stress(0)
+        assert first.lines() == second.lines()
+        assert first.logical_events == second.logical_events
+        assert first.sim_events == second.sim_events
         assert first.sim_seconds == second.sim_seconds
-        # quick does not shrink this scenario (see the scenario's
-        # docstring): the committed full-size rate must stay comparable.
-        assert first.extra["clients"] == 10_000
-        assert first.extra["cohorts"] >= 2
-        assert first.extra["path"] == "vectorized"
+        assert first.clients == 10_000
+        assert len(first.cohorts) >= 2
+        assert first.path == "vectorized"
         # The decoupling the scenario guards: thousands of logical
-        # client events carried by a few dozen simulator events.
-        assert first.events >= first.extra["clients"]
-        assert first.extra["sim_events"] < first.extra["clients"]
-        assert first.extra["fault_fallbacks"] == 0
-
-    def test_different_seeds_differ(self):
-        first = run_scenario("cohort_stress", seed=1, quick=True)
-        second = run_scenario("cohort_stress", seed=2, quick=True)
-        assert first.checksum != second.checksum
-
-    def test_reference_path_matches_vectorized_checksum(self, monkeypatch):
-        # The bench-level differential oracle: forcing the per-client
-        # path must reproduce the vectorized checksum byte for byte.
-        vectorized = run_scenario("cohort_stress", seed=0, quick=True)
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        reference = run_scenario("cohort_stress", seed=0, quick=True)
-        assert reference.extra["path"] == "reference"
-        assert reference.checksum == vectorized.checksum
-        assert reference.events == vectorized.events
-        assert reference.sim_seconds == vectorized.sim_seconds
-        # ...at O(clients) simulator events instead of O(cohorts).
-        assert reference.extra["sim_events"] > vectorized.extra["sim_events"]
-
-
-class TestCohortStressGuard:
-    def _report_with_rate(self, events_per_sec):
-        report = BenchReport(seed=0, quick=True)
-        report.results.append(
-            ScenarioResult(
-                name="cohort_stress",
-                wall_s=1.0,
-                events=int(events_per_sec),
-                sim_seconds=1.0,
-                peak_rss_bytes=0,
-                checksum="ab",
-            )
-        )
-        return report
-
-    def _baseline(self, tmp_path, events_per_sec=1_000_000.0):
-        path = tmp_path / "committed.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "xar-trek-bench/1",
-                    "scenarios": [
-                        {
-                            "name": "cohort_stress",
-                            "wall_s": 1.0,
-                            "events_per_sec": events_per_sec,
-                        }
-                    ],
-                }
-            )
-        )
-        return str(path)
-
-    def test_rate_regression_beyond_threshold_fails(self, tmp_path):
-        baseline = self._baseline(tmp_path)
-        report = self._report_with_rate(500_000.0)  # a 50% drop
-        failures = guard_events_per_sec(report, baseline, max_drop=0.30)
-        assert len(failures) == 1
-        assert "cohort_stress" in failures[0]
-
-    def test_rate_within_threshold_passes(self, tmp_path):
-        baseline = self._baseline(tmp_path)
-        report = self._report_with_rate(800_000.0)  # a 20% drop
-        assert guard_events_per_sec(report, baseline, max_drop=0.30) == []
-
-    def test_live_quick_rate_holds_against_committed_baseline(self, tmp_path):
-        # The exact check CI's bench-smoke job performs, in miniature:
-        # the quick scenario's measured rate against the committed
-        # BENCH_wallclock.json entry with the stock 30% tolerance.
-        committed = Path(__file__).resolve().parents[2] / "BENCH_wallclock.json"
-        # Warm the compile cache first, as the committed figure and
-        # CI's guard invocation (which runs scale_stress, over the
-        # same application set, in the same process) both do — the
-        # guard checks the steady-state rate, not cold-start compile.
-        # The whole run is ~15 ms of wall time, so a single sample is
-        # at the mercy of scheduler noise; guard the best of three,
-        # which measures capability while still catching regressions.
-        run_scenario("cohort_stress", seed=0, quick=True)
-        result = max(
-            (run_scenario("cohort_stress", seed=0, quick=True) for _ in range(3)),
-            key=lambda r: r.events_per_sec,
-        )
-        report = BenchReport(seed=0, quick=True)
-        report.results.append(result)
-        failures = guard_events_per_sec(report, str(committed), max_drop=0.30)
-        assert failures == []
-
-    @pytest.mark.wallclock
-    def test_vectorized_rate_clears_the_acceptance_floor(self):
-        # The acceptance floor for the vectorization itself: an absolute
-        # rate, so it depends on the host and runs only under -m wallclock.
-        run_scenario("cohort_stress", seed=0, quick=True)
-        result = max(
-            (run_scenario("cohort_stress", seed=0, quick=True) for _ in range(3)),
-            key=lambda r: r.events_per_sec,
-        )
-        assert result.events_per_sec >= 500_000
+        # client events carried by fewer simulator events than clients.
+        assert first.logical_events >= first.clients
+        assert first.sim_events < first.clients
+        assert first.fault_fallbacks == 0

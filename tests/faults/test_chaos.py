@@ -1,7 +1,7 @@
 """Chaos harness end-to-end: graceful degradation under fault plans.
 
-Small fleets keep these fast; the full-scale run lives in the
-``chaos_stress`` wall-clock bench scenario.
+Small fleets keep these fast; the full-scale run is the behaviour
+contract's ``chaos_stress`` scenario (``tests/experiments/contract.py``).
 """
 
 import pytest

@@ -11,8 +11,8 @@ execute the identical callback sequence at the identical times.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.wallclock import _scale_workload
 from repro.sim.engine import Event, Simulator
+from tests.experiments.contract import scale_workload
 
 #: Delay palette biased toward 0.0 so schedules are dense with
 #: same-timestamp ties (ordering then rides entirely on seq).
@@ -116,7 +116,7 @@ class TestAllocationReuse:
         # The zero-allocation contract on the real workload (the quick
         # scale_stress shape): steady-state defer traffic must be
         # served overwhelmingly from the free list, not the allocator.
-        runtime, records = _scale_workload(seed=0, n_clients=250, background=25)
+        runtime, records = scale_workload(seed=0, n_clients=250, background=25)
         sim = runtime.platform.sim
         assert all(rec.finished for rec in records)
         assert sim.deferred_reuses > 0

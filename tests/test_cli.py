@@ -65,9 +65,11 @@ class TestRun:
         out = capsys.readouterr().out
         assert "calls" in out
 
-    def test_unknown_app_raises(self):
-        with pytest.raises(KeyError):
+    def test_unknown_app_raises(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["run", "nonsense.app"])
+        assert exit_info.value.code == 2
+        assert "no profile for workload 'nonsense.app'" in capsys.readouterr().err
 
 
 class TestCompile:
@@ -150,3 +152,45 @@ class TestFleet:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: expected an integer >= 1, got {value!r}" in err
+
+
+class TestCohort:
+    def test_fewer_clients_than_apps_leaves_the_extra_apps_out(self, capsys):
+        assert main(["cohort", "--clients", "3"]) == 0
+        assert "clients     : 3 in 1 cohorts" in capsys.readouterr().out
+
+    def test_one_client_per_app_still_deals_every_app(self, capsys):
+        assert main(["cohort", "--clients", "5"]) == 0
+        assert "clients     : 5 in 5 cohorts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-5", "three"])
+    def test_non_positive_clients_get_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cohort", "--clients", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --clients: expected an integer >= 1, got {value!r}" in err
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "bfs.-5"], "app"),
+            (["run", "bfs.2"], "app"),
+            (["thresholds", "--apps", "nope"], "--apps"),
+            (["cohort", "--apps", "cg.A", "nope"], "--apps"),
+            (["metrics", "--apps", "nope"], "--apps"),
+            (["figure", "3", "--jobs", "foo"], "--jobs"),
+            (["chaos", "--quick", "--jobs", "-1"], "--jobs"),
+        ],
+    )
+    def test_bad_values_get_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["auto", "0", "2"])
+    def test_jobs_accepts_auto_and_counts(self, capsys, jobs):
+        assert main(["figure", "10", "--jobs", jobs]) == 0

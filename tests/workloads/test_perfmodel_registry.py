@@ -93,6 +93,11 @@ class TestBFSProfiles:
             profile = profile_for(f"bfs.{nodes}")
             assert profile.x86_fpga_s > profile.vanilla_x86_s
 
+    @pytest.mark.parametrize("name", ["bfs.0", "bfs.-5"])
+    def test_non_positive_sizes_rejected(self, name):
+        with pytest.raises(KeyError, match="bad BFS profile name"):
+            profile_for(name)
+
 
 class TestRegistry:
     def test_paper_benchmarks_all_constructible(self):
