@@ -85,11 +85,17 @@ def _jobs(text: str) -> int | str:
 
 
 def _workload(text: str) -> str:
-    """An argparse type: a workload name with a calibrated profile."""
+    """An argparse type: a workload name with a calibrated profile and
+    a hardware kernel (MG-B only generates background load)."""
     try:
-        profile_for(text)
+        profile = profile_for(text)
     except (KeyError, CalibrationError) as exc:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
+    if not profile.kernel_name:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is a background-load profile with no hardware "
+            "kernel, not an application"
+        )
     return text
 
 

@@ -24,10 +24,10 @@ Two directory representations coexist:
 The two layers are disjoint by construction: a page is either in
 ``directory`` or covered by exactly one span (or untouched). The
 batched span path is *semantically identical* to running the per-page
-protocol — :meth:`DSM.migrate_pages_reference` keeps the page-by-page
-protocol alive as the executable specification, and a hypothesis
-property test pins the batched path to it on stats, states, and
-completion times.
+protocol — ``tests/popcorn/test_dsm_batching.py`` keeps the
+page-by-page protocol as the executable specification and pins the
+batched path to it with hypothesis property tests on stats, states,
+and completion times.
 """
 
 from __future__ import annotations
@@ -459,7 +459,8 @@ class DSM:
         instead of being faulted over one by one. A contiguous range is
         accounted span-by-span — O(spans) directory work per migration,
         identical stats and completion time to the per-page walk (and to
-        :meth:`migrate_pages_reference`, the page-by-page protocol).
+        the page-by-page reference protocol in
+        ``tests/popcorn/test_dsm_batching.py``).
         """
         self._check_node(src)
         self._check_node(dst)
@@ -568,66 +569,6 @@ class DSM:
             self.stats.bytes_transferred += nbytes
             transfer = self.link.transfer(nbytes, tag=("dsm-migrate", dst, n_transfer))
             transfer.callbacks.append(lambda _ev: finish())
-        else:
-            finish()
-        return done
-
-    def migrate_pages_reference(
-        self, src: str, dst: str, addrs: Sequence[int]
-    ) -> Event:
-        """The per-page reference protocol for :meth:`migrate_pages`.
-
-        Each payload page travels as its own (concurrent) link transfer
-        and each directory entry is claimed individually — one event
-        chain per page, exactly what the batched path coalesces. Kept
-        as the executable specification: the hypothesis property suite
-        asserts batched and reference migrations agree on every stats
-        counter, every resulting page state, and the completion time.
-        """
-        self._check_node(src)
-        self._check_node(dst)
-        mask = ~(self.page_size - 1)
-        pages = sorted({a & mask for a in addrs})
-        directory = self.directory
-        done = self.sim.event()
-
-        to_claim: list[int] = []
-        transfers: list[Event] = []
-        for page in pages:
-            entry = directory.get(page)
-            if entry is None and self._span_at(page) is not None:
-                entry = self._materialize(page)
-            if entry is None:
-                directory[page] = _PageEntry()
-                to_claim.append(page)
-                continue
-            if entry.states.get(dst) == PageState.MODIFIED:
-                continue
-            to_claim.append(page)
-            if entry.has_holder():
-                self.stats.page_transfers += 1
-                self.stats.bytes_transferred += self.page_size
-                transfers.append(
-                    self.link.transfer(self.page_size, tag=("dsm-migrate", dst, 1))
-                )
-
-        def finish(_ev=None) -> None:
-            for page in to_claim:
-                entry = directory[page]
-                entry.invalidate_all()
-                entry.states[dst] = PageState.MODIFIED
-            self.tracer.record(
-                "dsm",
-                f"{src} -> {dst}: migrated {len(to_claim)} pages "
-                f"({len(transfers)} over the wire, per-page)",
-                src=src,
-                dst=dst,
-                pages=len(to_claim),
-            )
-            done.succeed(len(pages))
-
-        if transfers:
-            self.sim.all_of(transfers).callbacks.append(finish)
         else:
             finish()
         return done

@@ -8,29 +8,23 @@ from repro.core.server import ServerStats
 from repro.metrics import MetricsRegistry
 
 
-def _break_x86_run(monkeypatch, client_path):
-    """Make the x86-hosted run raise mid-flight on the selected client
-    path (chain or generator); both must deliver the failure through
-    the launch event, not as a mid-step crash."""
-    monkeypatch.setenv("REPRO_CLIENT_PATH", client_path)
+def _break_x86_run(monkeypatch):
+    """Make the x86-hosted run raise mid-flight; the failure must reach
+    the caller through the launch event, not as a mid-step crash."""
 
     def boom(self, *args):
         raise RuntimeError("injected run failure")
 
-    if client_path == "generator":
-        monkeypatch.setattr(ApplicationRun, "_run_with_x86_host", boom)
-    else:
-        monkeypatch.setattr(ApplicationRun, "_next_call", boom)
+    monkeypatch.setattr(ApplicationRun, "_next_call", boom)
 
 
-@pytest.mark.parametrize("client_path", ["chain", "generator"])
 class TestDelayedLaunchFailurePropagation:
-    def test_failure_propagates_through_done_event(self, monkeypatch, client_path):
+    def test_failure_propagates_through_done_event(self, monkeypatch):
         # Regression: launch(..., delay_s>0) wraps the inner run.start()
         # event but never defused it, so a failing run re-raised out of
         # the inner event's _process and crashed the whole simulation
         # instead of reaching the caller through the returned event.
-        _break_x86_run(monkeypatch, client_path)
+        _break_x86_run(monkeypatch)
         runtime = build_system(["digit.500"])
         failed = runtime.launch(
             "digit.500", mode=SystemMode.VANILLA_X86, delay_s=0.25
@@ -42,8 +36,8 @@ class TestDelayedLaunchFailurePropagation:
         # still usable afterwards.
         assert failed.processed and not failed.ok
 
-    def test_sibling_run_survives_a_delayed_failure(self, monkeypatch, client_path):
-        _break_x86_run(monkeypatch, client_path)
+    def test_sibling_run_survives_a_delayed_failure(self, monkeypatch):
+        _break_x86_run(monkeypatch)
         runtime = build_system(["digit.500"])
         failed = runtime.launch(
             "digit.500", mode=SystemMode.VANILLA_X86, delay_s=0.25

@@ -596,11 +596,7 @@ class TestDisabledTimeout:
         target = sim.run_until_event(reply)
         assert target == Target.FPGA
 
-    @pytest.mark.parametrize("client_path", ["chain", "generator"])
-    def test_restart_mid_run_completes_without_timeout(
-        self, monkeypatch, client_path
-    ):
-        monkeypatch.setenv("REPRO_CLIENT_PATH", client_path)
+    def test_restart_mid_run_completes_without_timeout(self):
         runtime = self._runtime()
         sim = runtime.platform.sim
         sim.run_until_event(runtime.preload_fpga())

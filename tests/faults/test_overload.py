@@ -1,12 +1,11 @@
 """Overload protection: the brownout ladder's hysteresis, admission
 decisions (queue bound, deadline-aware shedding), metric families that
 exist only when a guard is configured, and the end-to-end shed path
-through both client implementations."""
+through a client run."""
 
 import pytest
 
 from repro.core import SystemMode, build_system
-from repro.core.application import CLIENT_PATH_ENV
 from repro.core.server import RequestShed
 from repro.faults import (
     SHED_REASONS,
@@ -227,11 +226,7 @@ def _shedding_config(**overload_overrides):
 
 
 class TestEndToEndShedding:
-    @pytest.mark.parametrize("client_path", ["chain", "generator"])
-    def test_brownout_shed_ends_the_session_accounted(
-        self, monkeypatch, client_path
-    ):
-        monkeypatch.setenv(CLIENT_PATH_ENV, client_path)
+    def test_brownout_shed_ends_the_session_accounted(self):
         runtime = build_system(["digit.500"], resilience=_shedding_config())
         record = runtime.platform.sim.run_until_event(
             runtime.launch("digit.500", mode=SystemMode.XAR_TREK)
@@ -243,9 +238,7 @@ class TestEndToEndShedding:
         family = runtime.metrics.get("shed_total")
         assert family.labels(reason="brownout").value == 1.0
 
-    @pytest.mark.parametrize("client_path", ["chain", "generator"])
-    def test_deadline_shed_at_admission(self, monkeypatch, client_path):
-        monkeypatch.setenv(CLIENT_PATH_ENV, client_path)
+    def test_deadline_shed_at_admission(self):
         config = ResilienceConfig(
             overload=OverloadConfig(deadline_margin_s=1e6)
         )

@@ -2,7 +2,7 @@
 
 ``DSM.migrate_pages`` coalesces a working-set move into one link
 busy-period and O(spans) directory work; ``migrate_pages_reference``
-keeps the page-by-page protocol alive as the executable specification.
+below keeps the page-by-page protocol as the executable specification.
 These tests drive both through identical histories (seeds, faults,
 prior migrations) and assert they agree on every ``DSMStats`` counter,
 every observable page state, and the migration completion time.
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import ETHERNET_1GBPS, Link
 from repro.popcorn import DSM, PageState
+from repro.popcorn.dsm import _PageEntry
 from repro.sim import Simulator
 
 PAGE = 4096
@@ -55,6 +56,62 @@ addrs_st = st.one_of(
 )
 
 
+def migrate_pages_reference(dsm, src, dst, addrs):
+    """The per-page reference protocol for :meth:`DSM.migrate_pages`.
+
+    Each payload page travels as its own (concurrent) link transfer and
+    each directory entry is claimed individually — one event chain per
+    page, exactly what the batched path coalesces.
+    """
+    dsm._check_node(src)
+    dsm._check_node(dst)
+    mask = ~(dsm.page_size - 1)
+    pages = sorted({a & mask for a in addrs})
+    directory = dsm.directory
+    done = dsm.sim.event()
+
+    to_claim = []
+    transfers = []
+    for page in pages:
+        entry = directory.get(page)
+        if entry is None and dsm._span_at(page) is not None:
+            entry = dsm._materialize(page)
+        if entry is None:
+            directory[page] = _PageEntry()
+            to_claim.append(page)
+            continue
+        if entry.states.get(dst) == PageState.MODIFIED:
+            continue
+        to_claim.append(page)
+        if entry.has_holder():
+            dsm.stats.page_transfers += 1
+            dsm.stats.bytes_transferred += dsm.page_size
+            transfers.append(
+                dsm.link.transfer(dsm.page_size, tag=("dsm-migrate", dst, 1))
+            )
+
+    def finish(_ev=None):
+        for page in to_claim:
+            entry = directory[page]
+            entry.invalidate_all()
+            entry.states[dst] = PageState.MODIFIED
+        dsm.tracer.record(
+            "dsm",
+            f"{src} -> {dst}: migrated {len(to_claim)} pages "
+            f"({len(transfers)} over the wire, per-page)",
+            src=src,
+            dst=dst,
+            pages=len(to_claim),
+        )
+        done.succeed(len(pages))
+
+    if transfers:
+        dsm.sim.all_of(transfers).callbacks.append(finish)
+    else:
+        finish()
+    return done
+
+
 def make_dsm():
     sim = Simulator()
     dsm = DSM(sim, Link(sim, ETHERNET_1GBPS), page_size=PAGE)
@@ -78,10 +135,11 @@ def apply_setup(sim, dsm, ops, use_reference):
             _, (src, dst), page, npages = op
             npages = min(npages, UNIVERSE - page)
             addrs = [(page + i) * PAGE for i in range(npages)]
-            migrate = (
-                dsm.migrate_pages_reference if use_reference else dsm.migrate_pages
-            )
-            sim.run_until_event(migrate(src, dst, addrs))
+            if use_reference:
+                done = migrate_pages_reference(dsm, src, dst, addrs)
+            else:
+                done = dsm.migrate_pages(src, dst, addrs)
+            sim.run_until_event(done)
 
 
 def same_time(a, b):
@@ -120,7 +178,7 @@ def test_batched_migration_equals_per_page_reference(ops, addrs, src, dst):
 
     start = sim_a.now
     done_a = batched.migrate_pages(src, dst, addrs)
-    done_b = reference.migrate_pages_reference(src, dst, addrs)
+    done_b = migrate_pages_reference(reference, src, dst, addrs)
     pages_a = sim_a.run_until_event(done_a)
     pages_b = sim_b.run_until_event(done_b)
 
@@ -147,7 +205,7 @@ def test_faults_after_span_migration_match_reference(ops, addrs, node, probe):
     apply_setup(sim_a, batched, ops, use_reference=False)
     apply_setup(sim_b, reference, ops, use_reference=True)
     sim_a.run_until_event(batched.migrate_pages("x86", "arm", addrs))
-    sim_b.run_until_event(reference.migrate_pages_reference("x86", "arm", addrs))
+    sim_b.run_until_event(migrate_pages_reference(reference, "x86", "arm", addrs))
 
     sim_a.run_until_event(batched.read(node, probe * PAGE))
     sim_b.run_until_event(reference.read(node, probe * PAGE))

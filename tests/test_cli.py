@@ -183,6 +183,9 @@ class TestArgumentTypes:
             (["metrics", "--apps", "nope"], "--apps"),
             (["figure", "3", "--jobs", "foo"], "--jobs"),
             (["chaos", "--quick", "--jobs", "-1"], "--jobs"),
+            # MG-B is a background-load profile, not an application.
+            (["run", "mg.B"], "app"),
+            (["cohort", "--apps", "mg.B", "--clients", "10"], "--apps"),
         ],
     )
     def test_bad_values_get_a_usage_error(self, capsys, argv, flag):
