@@ -58,15 +58,25 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                         help="ignore --cache and always simulate")
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _jobs(text: str) -> int | str:
@@ -130,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("app", type=_workload,
                      help="workload name, e.g. digit.2000 or bfs.1000")
     run.add_argument("--mode", choices=sorted(_MODES), default="xar-trek")
-    run.add_argument("--background", type=int, default=0,
+    run.add_argument("--background", type=_non_negative_int, default=0,
                      help="MG-B load generators on the x86 host")
     run.add_argument("--calls", type=int, default=None,
                      help="override calls per run (throughput app)")
@@ -236,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--replay", action="store_true",
                          help="replay the trace through the simulated "
                          "deployment and report per-app SLO scores")
-    traffic.add_argument("--background", type=int, default=10,
+    traffic.add_argument("--background", type=_non_negative_int, default=10,
                          help="resident background processes during replay")
     traffic.add_argument("--slo-p99", type=float, default=None,
                          metavar="SECONDS",
@@ -258,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cohort.add_argument("--apps", nargs="+", type=_workload, default=None,
                         help="applications, one cohort each (default: the "
                         "paper benchmark set)")
-    cohort.add_argument("--background", type=int, default=50,
+    cohort.add_argument("--background", type=_non_negative_int, default=50,
                         help="static background processes on the x86 host")
     cohort.add_argument("--seed", type=int, default=0)
     cohort.add_argument("--reference", action="store_true",
@@ -284,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--apps", nargs="+", type=_workload, default=None,
                        help="applications, one cohort each (default: the "
                        "paper benchmark set)")
-    fleet.add_argument("--background", type=int, default=20,
+    fleet.add_argument("--background", type=_non_negative_int, default=20,
                        help="background processes per node")
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--gossip-interval", type=float, default=1.0,

@@ -21,6 +21,7 @@ from repro.compiler.threshold_estimation import estimate_thresholds
 from repro.compiler.xclbin import XCLBIN, generate_xclbin
 from repro.compiler.xo import XilinxObject, generate_xo
 from repro.hardware.fpga import ALVEO_U50, FPGASpec
+from repro.popcorn.state import MachineState
 from repro.thresholds import ThresholdTable
 from repro.workloads.perfmodel import WorkloadProfile, profile_for
 
@@ -45,12 +46,27 @@ class CompiledApplication:
 
 @dataclass
 class CompilationResult:
-    """The deployable bundle: binaries, images, and the threshold table."""
+    """The deployable bundle: binaries, images, and the threshold table.
+
+    ``initial_states`` and ``working_sets`` hold run-time state that is
+    a pure function of the frozen artifacts above: each application's
+    prototype initial machine state, and the dirty working-set page
+    addresses by (machine-state size, migration-state bytes). The first
+    deployment that needs an entry fills it; every deployment of this
+    result (``build_system`` caches results per application set) shares
+    it.
+    """
 
     applications: dict[str, CompiledApplication]
     xclbins: dict[str, XCLBIN]
     thresholds: ThresholdTable
     device: FPGASpec
+    initial_states: dict[str, MachineState] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    working_sets: dict[tuple[int, int], tuple[int, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def application(self, name: str) -> CompiledApplication:
         try:

@@ -116,9 +116,7 @@ class ApplicationRun:
             # once built and one runtime maps each app name to one
             # CompiledApplication, so derived variants memoize per
             # runtime (CompiledApplication itself is frozen).
-            cache = getattr(runtime, "_calls_profile_cache", None)
-            if cache is None:
-                cache = runtime._calls_profile_cache = {}
+            cache = runtime._calls_profile_cache
             key = (app.name, calls)
             profile = cache.get(key)
             if profile is None:
@@ -148,16 +146,15 @@ class ApplicationRun:
         self._fpga_attempt = 0
         self._popcorn: Optional[PopcornRuntime] = None
         self._resilience_policy = None
-        self._lat_children: dict = {}
         #: End-to-end per-call latency: target selection (scheduler
         #: round-trip under Xar-Trek) + function execution wherever it
         #: ran, labeled by the target that actually served the call.
-        #: The registry get-or-create is paid once per runtime, not per
+        #: The first launch on a runtime registers the families; the
+        #: registry get-or-create is then paid once per runtime, not per
         #: launch (scale_stress starts 1000 runs on one runtime).
-        instruments = getattr(runtime, "_run_instruments", None)
-        if instruments is None:
+        if runtime._run_instruments is None:
             metrics = runtime.metrics
-            instruments = runtime._run_instruments = (
+            runtime._run_instruments = (
                 metrics.histogram(
                     "invocation_latency_seconds",
                     "end-to-end per-invocation latency by serving target",
@@ -169,7 +166,6 @@ class ApplicationRun:
                     labelnames=("app", "target"),
                 ),
             )
-        self._m_latency, self._m_invocations = instruments
 
     # -- public API ------------------------------------------------------------
     def start(self) -> Event:
@@ -201,16 +197,19 @@ class ApplicationRun:
         self.record.verified = workload.verify(inp, output)
 
     def _observe_call(self, target: Target, started_at: float) -> None:
-        # Label children memoized per target: resolving labels() is a
-        # dict build + lookup, paid per call on the hot path otherwise.
-        children = self._lat_children.get(target)
+        # Label children memoized per runtime by (app, target):
+        # resolving labels() is a dict build + lookup, paid per call on
+        # the hot path otherwise.
+        runtime = self.runtime
+        key = (self.app.name, target)
+        children = runtime._call_instruments.get(key)
         if children is None:
-            children = (
-                self._m_latency.labels(target=str(target)),
-                self._m_invocations.labels(app=self.app.name, target=str(target)),
+            latency, invocations = runtime._run_instruments
+            children = runtime._call_instruments[key] = (
+                latency.labels(target=str(target)),
+                invocations.labels(app=self.app.name, target=str(target)),
             )
-            self._lat_children[target] = children
-        children[0].observe(self.runtime.platform.now - started_at)
+        children[0].observe(runtime.platform.now - started_at)
         children[1].inc()
 
     def _deadline_passed(self) -> bool:
@@ -256,13 +255,12 @@ class ApplicationRun:
             return self._thread
         # The initial machine state is a pure function of the (frozen)
         # application metadata, and states are never mutated on the
-        # migration path — so every run of the same app can share one
-        # prototype object instead of rebuilding identical frames per
-        # client. Sharing also makes the first migration of each thread
-        # a transform-memo hit (see PopcornRuntime.migrate).
-        cache = getattr(self.runtime, "_proto_state_cache", None)
-        if cache is None:
-            cache = self.runtime._proto_state_cache = {}
+        # migration path — so every run of the same app, on every
+        # deployment of the same compilation, can share one prototype
+        # object instead of rebuilding identical frames per client.
+        # Sharing also makes the first migration of each thread a
+        # transform-memo hit (see PopcornRuntime.migrate).
+        cache = self.runtime.result.initial_states
         state = cache.get(self.app.name)
         if state is None:
             metadata = self.app.compiled.metadata
@@ -292,14 +290,13 @@ class ApplicationRun:
         addrs = self._ws_cache.get(size)
         if addrs is None:
             # The address list itself is a pure function of (state size,
-            # profile), so runs share one immutable prototype and each
-            # run takes a C-speed list copy. The copy stays per-run on
-            # purpose: migration ships a working set once and then
-            # clears this very list object, so sharing it across runs
-            # would change what later clients transfer.
-            proto_cache = getattr(self.runtime, "_ws_proto_cache", None)
-            if proto_cache is None:
-                proto_cache = self.runtime._ws_proto_cache = {}
+            # profile), so runs on every deployment of the compilation
+            # share one immutable prototype and each run takes a
+            # C-speed list copy. The copy stays per-run on purpose:
+            # migration ships a working set once and then clears this
+            # very list object, so sharing it across runs would change
+            # what later clients transfer.
+            proto_cache = self.runtime.result.working_sets
             key = (size, self.profile.migration_state_bytes)
             proto = proto_cache.get(key)
             if proto is None:

@@ -295,6 +295,8 @@ class CohortPopulation:
         specs = tuple(specs)
         if not specs:
             raise CohortError("a population needs at least one cohort spec")
+        if background < 0:
+            raise ValueError(f"background must be >= 0, got {background}")
         if server is not None:
             thresholds = thresholds or server.thresholds
             metrics = metrics or server.metrics

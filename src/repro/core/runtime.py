@@ -22,11 +22,12 @@ from repro.core.client import ThresholdUpdater
 from repro.core.server import SchedulerServer
 from repro.faults.resilience import ResilienceConfig, ResiliencePolicy
 from repro.hardware.platform import HeterogeneousPlatform, paper_testbed
+from repro.metrics import Counter, Histogram
 from repro.popcorn.dsm import DSM
 from repro.popcorn.runtime import PopcornRuntime
 from repro.sim import Event
 from repro.types import Target
-from repro.workloads import PAPER_BENCHMARKS, profile_for
+from repro.workloads import PAPER_BENCHMARKS, WorkloadProfile, profile_for
 from repro.xrt import XRTDevice
 
 __all__ = ["BackgroundLoad", "XarTrekRuntime", "build_system", "spec_for"]
@@ -78,6 +79,8 @@ class BackgroundLoad:
     ):
         if not 0.0 < duty <= 1.0:
             raise ValueError(f"duty must be in (0, 1], got {duty}")
+        if n_processes < 0:
+            raise ValueError(f"n_processes must be >= 0, got {n_processes}")
         self.runtime = runtime
         self.n_processes = n_processes
         self.work_s = work_s
@@ -89,20 +92,25 @@ class BackgroundLoad:
             # Pure spin: the worker is continuously runnable, so slicing
             # the round into 1-second bursts only multiplies the event
             # count — under ideal processor sharing the completion times
-            # are identical. Each worker is a self-resubmitting job
-            # chain rather than a generator process: one callback per
-            # round instead of a process bootstrap plus a resume.
+            # are identical. The workers enter together with the same
+            # demand, so they are served alike and finish together: the
+            # whole pool is one self-resubmitting job with n_processes
+            # copies, one submit and one callback per round instead of
+            # one per worker.
             x86 = runtime.platform.x86.cpu
             work_s = self.work_s
 
             def spin_round(job=None) -> None:
                 if job is not None:
-                    self.completed_rounds += 1
+                    self.completed_rounds += job.copies
                 if self._stopped:
                     return
-                x86.execute_job(work_s, tag="background", on_complete=spin_round)
+                x86.execute_job(
+                    work_s, tag="background", on_complete=spin_round,
+                    copies=n_processes,
+                )
 
-            for _index in range(n_processes):
+            if n_processes:
                 spin_round()
             return
         for index in range(n_processes):
@@ -177,6 +185,15 @@ class XarTrekRuntime:
             self.dsm.add_node(str(Target.X86))
             self.dsm.add_node(str(Target.ARM))
         self._popcorn: dict[str, PopcornRuntime] = {}
+        #: Launch-path caches (see ApplicationRun): profile variants by
+        #: (app, calls-per-run); the per-call metric families, which
+        #: the first launch registers; their label children by (app,
+        #: target).
+        self._calls_profile_cache: dict[tuple[str, int], WorkloadProfile] = {}
+        self._run_instruments: Optional[tuple[Histogram, Counter]] = None
+        self._call_instruments: dict[
+            tuple[str, Target], tuple[Histogram, Counter]
+        ] = {}
         self.updater = (
             ThresholdUpdater(
                 increase_step=threshold_increase_step, metrics=self.metrics

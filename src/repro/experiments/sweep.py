@@ -29,6 +29,7 @@ recorded through :mod:`repro.metrics` — see :func:`sweep_metrics`.
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import json
 import math
@@ -109,8 +110,27 @@ def derive_seeds(root: int | np.random.SeedSequence, n: int) -> list[int]:
     flattened to a 64-bit int so it can ride in a :class:`Cell` and
     re-seed any downstream ``SeedSequence`` or generator.
     """
+    if isinstance(root, int):
+        return list(_int_root_seeds(root, n))
     if not isinstance(root, np.random.SeedSequence):
         root = np.random.SeedSequence(root)
+    return _spawn_seeds(root, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _int_root_seeds(root: int, n: int) -> tuple[int, ...]:
+    """:func:`derive_seeds` for an int root, memoized.
+
+    ``run_application_set`` derives the same ``(seed, len(apps))`` once
+    per system mode, and sweeps emit each repeat's modes back to back
+    (:func:`cells_for_sets`), so one slot per mode is enough. The cache
+    stays that small on purpose: a later pass over the same cells finds
+    it cold again and costs what the first pass did.
+    """
+    return tuple(_spawn_seeds(np.random.SeedSequence(root), n))
+
+
+def _spawn_seeds(root: np.random.SeedSequence, n: int) -> list[int]:
     return [
         int(child.generate_state(1, dtype=np.uint64)[0]) for child in root.spawn(n)
     ]

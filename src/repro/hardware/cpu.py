@@ -122,15 +122,21 @@ class CPUCluster:
             )
         return job.done
 
-    def execute_job(self, core_seconds: float, tag: Any = None, on_complete=None) -> Job:
+    def execute_job(
+        self, core_seconds: float, tag: Any = None, on_complete=None, copies: int = 1
+    ) -> Job:
         """Like :meth:`execute` but returns the cancellable job handle.
 
-        ``on_complete`` forwards to :meth:`FairShareServer.submit`: the
-        callable is invoked with the job at completion and no ``done``
-        event is allocated. Load metrics need no per-job hooks here —
-        the server's own aggregates feed the pull-sampled gauge.
+        ``on_complete`` and ``copies`` forward to
+        :meth:`FairShareServer.submit`: the callable is invoked with the
+        job at completion and no ``done`` event is allocated; ``copies``
+        runs that many identical single-threaded processes as one job.
+        Load metrics need no per-job hooks here — the server's own
+        aggregates feed the pull-sampled gauge.
         """
-        return self._server.submit(core_seconds, tag=tag, on_complete=on_complete)
+        return self._server.submit(
+            core_seconds, tag=tag, on_complete=on_complete, copies=copies
+        )
 
     def cancel(self, job: Job) -> None:
         self._server.cancel(job)

@@ -66,6 +66,11 @@ class Job:
     yield on) *or*, when the caller only needs a notification, through
     ``on_complete`` — a plain callable invoked synchronously, skipping
     the event-queue round trip entirely. Exactly one of the two is set.
+
+    ``copies`` is the number of identical processes the job stands for
+    (a background pool): each one counts toward the active-job count
+    and is served at the per-job rate, and they finish together, so
+    the job completes once. It is not a weighted-fair-queueing share.
     """
 
     job_id: int
@@ -75,6 +80,7 @@ class Job:
     tag: Any = None
     start_time: float = 0.0
     finish_time: Optional[float] = None
+    copies: int = 1
     #: Shared-service integral at entry; served = V - entry_virtual.
     entry_virtual: float = field(default=0.0, repr=False)
     on_complete: Any = field(default=None, repr=False)
@@ -97,6 +103,7 @@ class FairShareServer:
         "capacity",
         "job_cap",
         "_jobs",
+        "_active",
         "_ids",
         "_last_update",
         "_epoch",
@@ -124,6 +131,8 @@ class FairShareServer:
         self.capacity = float(capacity)
         self.job_cap = float(job_cap) if job_cap is not None else None
         self._jobs: dict[int, Job] = {}
+        #: Active-job count: the copies of every job in ``_jobs``.
+        self._active = 0
         self._ids = itertools.count(1)
         self._last_update = sim.now
         self._epoch = 0  # invalidates stale completion callbacks
@@ -147,11 +156,11 @@ class FairShareServer:
     @property
     def active_jobs(self) -> int:
         """Number of jobs currently in service (the paper's "load")."""
-        return len(self._jobs)
+        return self._active
 
     def rate_per_job(self, n: Optional[int] = None) -> float:
         """Service rate each job receives when ``n`` jobs are active."""
-        n = len(self._jobs) if n is None else n
+        n = self._active if n is None else n
         if n == 0:
             return 0.0
         share = self.capacity / n
@@ -186,7 +195,7 @@ class FairShareServer:
         :meth:`repro.metrics.Gauge.bind_sampler`.
         """
         self._advance()
-        n = len(self._jobs)
+        n = self._active
         if self._first_submit is None:
             return {
                 "value": 0.0,
@@ -205,16 +214,16 @@ class FairShareServer:
             "updates": self._transitions,
         }
 
-    def _record_transition(self) -> None:
-        """Fold the post-change load into the O(1) aggregates."""
-        n = len(self._jobs)
+    def _record_transition(self, low: int, high: int, count: int) -> None:
+        """Fold ``count`` back-to-back load changes, whose post-change
+        loads span ``low`` to ``high``, into the O(1) aggregates."""
         if self._first_submit is None:
             self._first_submit = self.sim.now
-        if self._min_jobs is None or n < self._min_jobs:
-            self._min_jobs = n
-        if self._max_jobs is None or n > self._max_jobs:
-            self._max_jobs = n
-        self._transitions += 1
+        if self._min_jobs is None or low < self._min_jobs:
+            self._min_jobs = low
+        if self._max_jobs is None or high > self._max_jobs:
+            self._max_jobs = high
+        self._transitions += count
 
     # -- capacity changes --------------------------------------------------
     def set_capacity(self, capacity: float) -> None:
@@ -233,7 +242,9 @@ class FairShareServer:
         self._reschedule()
 
     # -- job lifecycle -----------------------------------------------------
-    def submit(self, work: float, tag: Any = None, on_complete=None) -> Job:
+    def submit(
+        self, work: float, tag: Any = None, on_complete=None, copies: int = 1
+    ) -> Job:
         """Enter a job with total demand ``work``; returns its handle.
 
         The job's ``done`` event triggers (with the job as value) when
@@ -241,16 +252,23 @@ class FairShareServer:
         which case that callable is invoked with the job instead and no
         ``done`` event is allocated (the cheap path for callers that
         chain callbacks rather than block a process).
+
+        ``copies`` enters that many identical processes, each with
+        demand ``work``, under one handle: every copy counts toward the
+        load and is served at the per-job rate, the load aggregates end
+        up exactly as ``copies`` back-to-back unit submits would leave
+        them, and the handle completes once.
         """
         if work < 0:
             raise SimulationError(f"negative work {work!r}")
+        if copies < 1:
+            raise SimulationError(f"copies must be >= 1, got {copies!r}")
         # Inlined _advance/_record_transition/_reschedule (profile-hot:
         # one submit per job the simulation ever runs; the method-call
         # fan-out costs more than the arithmetic it performs).
         sim = self.sim
         now = sim.now
-        jobs = self._jobs
-        n = len(jobs)
+        n = self._active
         dt = now - self._last_update
         if dt != 0.0:
             if dt > 0.0 and n:
@@ -273,28 +291,32 @@ class FairShareServer:
             done=None if on_complete is not None else self.sim.event(),
             tag=tag,
             start_time=now,
+            copies=copies,
             entry_virtual=self._virtual,
             on_complete=on_complete,
         )
         if work == 0:
             job.finish_time = now
-            self._record_transition()
+            self._record_transition(n, n, copies)
             if on_complete is not None:
                 on_complete(job)
             else:
                 job.done.succeed(job)
             return job
-        jobs[job.job_id] = job
-        n += 1
+        self._jobs[job.job_id] = job
+        n += copies
+        self._active = n
         heappush(self._finish_heap, (job.entry_virtual + job.work, job.job_id, job))
-        # _record_transition, inline
+        # _record_transition, inline: the copies' post-change loads run
+        # from n - copies + 1 up to n
         if self._first_submit is None:
             self._first_submit = now
-        if self._min_jobs is None or n < self._min_jobs:
-            self._min_jobs = n
+        low = n - copies + 1
+        if self._min_jobs is None or low < self._min_jobs:
+            self._min_jobs = low
         if self._max_jobs is None or n > self._max_jobs:
             self._max_jobs = n
-        self._transitions += 1
+        self._transitions += copies
         # _reschedule, inline (the new job may or may not be the head)
         self._epoch += 1
         head = self._next_finish()
@@ -312,12 +334,16 @@ class FairShareServer:
         return job
 
     def cancel(self, job: Job) -> None:
-        """Remove a job before completion; its ``done`` event never fires."""
+        """Remove a job before completion; its ``done`` event never fires.
+
+        A job's copies leave together, as back-to-back unit cancels would.
+        """
         self._advance()
         if self._jobs.pop(job.job_id, None) is not None:
             job._cancelled = True
             job.remaining = max(0.0, job.entry_virtual + job.work - self._virtual)
-            self._record_transition()
+            n = self._active = self._active - job.copies
+            self._record_transition(n, n + job.copies - 1, job.copies)
             self._reschedule()
 
     def remaining_work(self, job: Job) -> float:
@@ -337,7 +363,7 @@ class FairShareServer:
         now = self.sim.now
         dt = now - self._last_update
         if dt > 0.0:
-            n = len(self._jobs)
+            n = self._active
             if n:
                 rate = self.rate_per_job(n)
                 self._virtual += rate * dt
@@ -386,7 +412,7 @@ class FairShareServer:
         sim = self.sim
         now = sim.now
         jobs = self._jobs
-        n = len(jobs)
+        n = self._active
         capacity = self.capacity
         cap = self.job_cap
         rate = 0.0
@@ -426,19 +452,25 @@ class FairShareServer:
                 break
             heappop(heap)
             del jobs[job_id]
+            n -= head.copies
             finished.append(head)
         if not finished and jobs:
             # Pure floating-point drift: the event fired for the
             # shortest job, so force it out rather than risk a
-            # zero-width reschedule loop.
-            head = self._next_finish()
-            heappop(heap)
-            del jobs[head.job_id]
-            finished.append(head)
+            # zero-width reschedule loop — together with every job at
+            # its exact finish mark, which has had the same service
+            # (k unit jobs then leave as one job with k copies does).
+            mark = heap[0][0]
+            while heap and heap[0][0] == mark:
+                _mark, job_id, head = heappop(heap)
+                if job_id in jobs:
+                    del jobs[job_id]
+                    n -= head.copies
+                    finished.append(head)
         for job in finished:
             job.remaining = 0.0
             job.finish_time = now
-        n = len(jobs)
+        self._active = n
         if finished:
             # _record_transition, inline
             if self._first_submit is None:

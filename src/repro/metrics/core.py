@@ -296,8 +296,8 @@ class Histogram(Metric):
 
     kind = "histogram"
     __slots__ = (
-        "buckets", "reservoir_size", "_rng", "_bucket_counts", "_count", "_sum",
-        "_min", "_max", "_reservoir",
+        "buckets", "reservoir_size", "_rng", "_streams", "_bucket_counts",
+        "_count", "_sum", "_min", "_max", "_reservoir",
     )
 
     def __init__(
@@ -309,7 +309,13 @@ class Histogram(Metric):
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         reservoir_size: int = 4096,
         rng: Optional[np.random.Generator] = None,
+        streams=None,
     ):
+        """``rng`` is the reservoir's generator. Without one, it is made
+        on first overflow: ``streams.stream("metrics/<name>")`` from an
+        optional :class:`~repro.sim.RandomStreams`, else a generator
+        derived from the name. Most histograms never overflow, so most
+        never build one."""
         super().__init__(name, help, labelnames, clock)
         if reservoir_size < 1:
             raise MetricError(f"{name}: reservoir_size must be >= 1")
@@ -318,6 +324,7 @@ class Histogram(Metric):
             raise MetricError(f"{name}: need at least one bucket bound")
         self.reservoir_size = reservoir_size
         self._rng = rng
+        self._streams = streams
         self._bucket_counts = [0] * (len(self.buckets) + 1)  # + overflow
         self._count = 0
         self._sum = 0.0
@@ -334,7 +341,19 @@ class Histogram(Metric):
             buckets=self.buckets,
             reservoir_size=self.reservoir_size,
             rng=self._rng,
+            streams=self._streams,
         )
+
+    def _reservoir_rng(self) -> np.random.Generator:
+        """The reservoir's generator, made on first overflow (see
+        ``__init__``). Labelled children share the registry's stream:
+        ``RandomStreams`` caches each stream by key."""
+        if self._rng is None:
+            if self._streams is not None:
+                self._rng = self._streams.stream(f"metrics/{self.name}")
+            else:
+                self._rng = _derived_rng(self.name)
+        return self._rng
 
     def observe(self, value: float) -> None:
         self._check_leaf()
@@ -348,9 +367,7 @@ class Histogram(Metric):
             self._reservoir.append(value)
         else:
             # Algorithm R: keep a uniform sample, deterministically.
-            if self._rng is None:
-                self._rng = _derived_rng(self.name)
-            slot = int(self._rng.integers(0, self._count))
+            slot = int(self._reservoir_rng().integers(0, self._count))
             if slot < self.reservoir_size:
                 self._reservoir[slot] = value
 
@@ -393,9 +410,9 @@ class Histogram(Metric):
         # Algorithm R past the fill: one draw per observation, each in
         # [0, running count), taken in one call that consumes the same
         # stream as the scalar draws.
-        if self._rng is None:
-            self._rng = _derived_rng(self.name)
-        slots = self._rng.integers(0, np.arange(seen + fill + 1, seen + m + 1))
+        slots = self._reservoir_rng().integers(
+            0, np.arange(seen + fill + 1, seen + m + 1)
+        )
         kept = np.flatnonzero(slots < self.reservoir_size)
         for slot, value in zip(slots[kept].tolist(), values[fill:][kept].tolist()):
             self._reservoir[slot] = value
@@ -457,8 +474,8 @@ class MetricsRegistry:
     def __init__(self, clock: Optional[Callable[[], float]] = None, rng=None):
         """``rng`` is an optional :class:`~repro.sim.RandomStreams`;
         histogram reservoirs draw from ``rng.stream("metrics/<name>")``
-        so reservoir downsampling replays identically under the
-        simulation seed."""
+        (made on a reservoir's first overflow) so reservoir downsampling
+        replays identically under the simulation seed."""
         self._clock = clock or (lambda: 0.0)
         self._rng = rng
         self._families: dict[str, Metric] = {}
@@ -499,7 +516,6 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
         reservoir_size: int = 4096,
     ) -> Histogram:
-        rng = self._rng.stream(f"metrics/{name}") if self._rng is not None else None
         return self._register(
             Histogram,
             name,
@@ -507,7 +523,7 @@ class MetricsRegistry:
             labelnames,
             buckets=buckets,
             reservoir_size=reservoir_size,
-            rng=rng,
+            streams=self._rng,
         )
 
     # -- queries -----------------------------------------------------------

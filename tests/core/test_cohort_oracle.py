@@ -361,6 +361,12 @@ class TestValidation:
         with pytest.raises(CohortError, match="ThresholdTable"):
             CohortPopulation([CohortSpec("cg.A", 1)])
 
+    def test_negative_background_rejected(self):
+        with pytest.raises(ValueError, match="background"):
+            CohortPopulation(
+                [CohortSpec("cg.A", 1)], background=-3, thresholds=_table_for(["cg.A"])
+            )
+
     def test_run_must_start_at_time_zero(self):
         population = CohortPopulation(
             [CohortSpec("cg.A", 1)], thresholds=_table_for(["cg.A"])

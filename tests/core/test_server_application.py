@@ -186,6 +186,22 @@ class TestBackgroundLoad:
         assert runtime.platform.x86_load == 0
         assert load.completed_rounds >= 10
 
+    def test_pool_is_one_job_with_a_copy_per_process(self):
+        runtime = build_system(["digit.500"])
+        load = runtime.launch_background(10, work_s=1.0)
+        runtime.platform.sim.run(until=0.5)
+        cpu = runtime.platform.x86.cpu
+        assert [job.copies for job in cpu._server._jobs.values()] == [10]
+        # 10 processes on the 6-core host: a round takes 10/6 s.
+        runtime.platform.sim.run(until=3.5)
+        assert load.completed_rounds == 20
+        load.stop()
+
+    def test_negative_count_rejected(self):
+        runtime = build_system(["digit.500"])
+        with pytest.raises(ValueError, match="n_processes"):
+            runtime.launch_background(-3)
+
 
 class TestRunRecord:
     def test_dominant_target(self):

@@ -1,12 +1,16 @@
 """Unit + property tests for the fair-share (processor-sharing) server."""
 
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.sharing import FairShareServer
+from repro.core.runtime import BackgroundLoad
+from repro.hardware.sharing import FairShareServer, _completion_tolerance
 from repro.sim import SimulationError, Simulator
 
 
@@ -250,3 +254,303 @@ def test_no_zeno_loop_with_extreme_rates():
     sim.run_until_event(job.done)
     sim.run_until_event(other.done)
     assert srv.active_jobs == 0
+
+
+# -- copies: one job standing for k identical processes ----------------------
+
+
+class _UnitJobPool:
+    """BackgroundLoad's duty-1.0 pool as it ran before ``copies``: one
+    unit job per process, submitted back to back, each resubmitting
+    itself from its own ``on_complete``. The copies oracle's reference."""
+
+    def __init__(self, runtime, n_processes: int, work_s: float):
+        self._stopped = False
+        self.completed_rounds = 0
+        x86 = runtime.platform.x86.cpu
+
+        def spin_round(job=None) -> None:
+            if job is not None:
+                self.completed_rounds += 1
+            if self._stopped:
+                return
+            x86.execute_job(work_s, tag="background", on_complete=spin_round)
+
+        for _index in range(n_processes):
+            spin_round()
+
+    def stop(self) -> None:
+        self._stopped = True
+
+
+class _DriftCounter(FairShareServer):
+    """Counts completion events that take the floating-point drift
+    branch: the head job is outside the completion tolerance, so no job
+    drains normally and the head is forced out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drifts = 0
+
+    def _on_completion(self, epoch):
+        if epoch == self._epoch and self._jobs:
+            rate = self.rate_per_job()
+            virtual = self._virtual
+            dt = self.sim.now - self._last_update
+            if dt > 0.0:
+                virtual += rate * dt
+            head = self._next_finish()
+            residual = head.entry_virtual + head.work - virtual
+            if residual > _completion_tolerance(self.sim.now, rate, head.work):
+                self.drifts += 1
+        super()._on_completion(epoch)
+
+
+@dataclass(frozen=True)
+class _PoolScenario:
+    capacity: float
+    job_cap: Optional[float]
+    #: (start, processes, work per round, stop after) per pool
+    pools: tuple
+    #: (arrival, work) per interleaved unit job
+    units: tuple
+    #: (time, new capacity) of the mid-run set_capacity call
+    capacity_change: tuple
+    #: extra times to compare the two forms at; reading the load there
+    #: folds service into the shared integral between job-set changes
+    probes: tuple = ()
+    #: (clock, solo work, capacity after): before the scenario starts,
+    #: one solo job at that clock builds up the shared service integral,
+    #: then the capacity drops — the regime where finish marks are
+    #: coarse next to the work, and the drift branch is reachable.
+    warmup: Optional[tuple] = None
+
+
+class _PoolWorld:
+    """One server driven through a scenario with one form of pool."""
+
+    def __init__(self, scenario: _PoolScenario, pool_form):
+        sim = self.sim = Simulator()
+        srv = self.srv = _DriftCounter(
+            sim, "srv", capacity=scenario.capacity, job_cap=scenario.job_cap
+        )
+        if scenario.warmup is not None:
+            clock, work, capacity = scenario.warmup
+            sim.call_at(clock, lambda: srv.submit(work))
+            sim.run()
+            srv.set_capacity(capacity)
+        # BackgroundLoad touches only platform.sim and x86.cpu.execute_job,
+        # whose signature is the server's submit.
+        cpu = SimpleNamespace(execute_job=srv.submit)
+        runtime = SimpleNamespace(
+            platform=SimpleNamespace(sim=sim, x86=SimpleNamespace(cpu=cpu))
+        )
+        self.pools = [None] * len(scenario.pools)
+        self.units = []
+        for index, (start, processes, work, stop_after) in enumerate(scenario.pools):
+
+            def begin(index=index, processes=processes, work=work):
+                self.pools[index] = pool_form(runtime, processes, work)
+
+            sim.call_in(start, begin)
+            sim.call_in(
+                start + stop_after, lambda index=index: self.pools[index].stop()
+            )
+        for at, work in scenario.units:
+            sim.call_in(at, lambda work=work: self.units.append(srv.submit(work)))
+        at, capacity = scenario.capacity_change
+        sim.call_in(at, lambda: srv.set_capacity(capacity))
+        for at in scenario.probes:
+            sim.call_in(at, lambda: None)
+
+    def observe(self):
+        srv = self.srv
+        return (
+            srv.active_jobs,
+            srv.load_snapshot(),
+            srv.mean_load(),
+            srv.utilization(),
+            [pool.completed_rounds if pool else None for pool in self.pools],
+            srv.drifts,
+        )
+
+
+def _run_copies_oracle(scenario: _PoolScenario, max_steps: int = 20_000):
+    """Drive the unit-job reference and BackgroundLoad's copies form in
+    lockstep, comparing them after every event time of either; returns
+    both worlds once drained."""
+    ref = _PoolWorld(scenario, _UnitJobPool)
+    new = _PoolWorld(scenario, BackgroundLoad)
+    assert ref.observe() == new.observe()
+    for _step in range(max_steps):
+        times = [t for t in (ref.sim.peek(), new.sim.peek()) if t is not None]
+        if not times:
+            break
+        at = min(times)
+        ref.sim.run(until=at)
+        new.sim.run(until=at)
+        assert ref.observe() == new.observe(), f"diverged at t={at!r}"
+    else:
+        pytest.fail("scenario did not drain")
+    assert [u.finish_time.hex() for u in ref.units] == [
+        u.finish_time.hex() for u in new.units
+    ]
+    return ref, new
+
+
+@st.composite
+def _cpu_pool_scenarios(draw):
+    """A 1-8 core CPU (per-job cap 1) with pools, unit jobs and a
+    capacity change; unit jobs sometimes tie a pool's start and work."""
+    pools = tuple(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.0, 3.0),
+                    st.integers(1, 6),
+                    st.floats(0.05, 4.0),
+                    st.floats(0.0, 12.0),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    starts = [start for start, _k, _w, _s in pools]
+    works = [work for _t, _k, work, _s in pools]
+    units = tuple(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.one_of(st.floats(0.0, 12.0), st.sampled_from(starts)),
+                    st.one_of(st.floats(0.0, 6.0), st.sampled_from(works)),
+                ),
+                max_size=8,
+            )
+        )
+    )
+    return _PoolScenario(
+        capacity=draw(st.integers(1, 8)),
+        job_cap=1.0,
+        pools=pools,
+        units=units,
+        capacity_change=(draw(st.floats(0.0, 12.0)), draw(st.integers(1, 8))),
+        probes=tuple(draw(st.lists(st.floats(0.0, 12.0), max_size=6))),
+    )
+
+
+@st.composite
+def _link_pool_scenarios(draw):
+    """The extreme rates of test_no_zeno_loop_with_extreme_rates: an
+    uncapped 32 GB/s server late in simulated time, degraded after a
+    solo transfer of up to 3 s, serving millibyte rounds. The shared
+    integral then has a few ulps per round, so probes between job-set
+    changes let rounding reach the drift branch (most examples do).
+    Much larger integrals would swallow a round whole and spin the pool
+    at one instant. Times are in units of one lone copy's round."""
+    capacity = 32e9 * draw(st.sampled_from([1e-6, 1e-9]))
+    round_s = 1e-3 / capacity
+    pools = tuple(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.0, 5.0).map(lambda t: t * round_s),
+                    st.integers(1, 6),
+                    st.sampled_from([1e-3, 2e-3]),
+                    st.floats(0.0, 60.0).map(lambda t: t * round_s),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    units = tuple(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.0, 60.0).map(lambda t: t * round_s),
+                    st.sampled_from([1e-3, 2e-3, 5e-4]),
+                ),
+                max_size=6,
+            )
+        )
+    )
+    change = (
+        draw(st.floats(0.0, 60.0)) * round_s,
+        capacity * draw(st.sampled_from([0.5, 2.0, 1e-3])),
+    )
+    probes = draw(
+        st.lists(st.floats(0.0, 60.0).map(lambda t: t * round_s), max_size=30)
+    )
+    return _PoolScenario(
+        capacity=32e9,
+        job_cap=None,
+        pools=pools,
+        units=units,
+        capacity_change=change,
+        probes=tuple(probes),
+        warmup=(1e5, 32e9 * draw(st.floats(0.01, 3.0)), capacity),
+    )
+
+
+class TestCopies:
+    """One job with ``copies=k`` is k identical processes: it must leave
+    every observable exactly as k unit jobs submitted back to back and
+    resubmitted from their ``on_complete`` — the pool BackgroundLoad ran
+    before it submitted one job per pool."""
+
+    @given(_cpu_pool_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_copies_job_matches_unit_jobs_on_a_cpu(self, scenario):
+        _run_copies_oracle(scenario)
+
+    @given(_link_pool_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_copies_job_matches_unit_jobs_at_extreme_rates(self, scenario):
+        _run_copies_oracle(scenario)
+
+    def test_drift_branch_is_covered(self):
+        """Identical finish marks do reach the drift branch at extreme
+        rates: a load read between job-set changes leaves the pool's
+        shared mark a rounding step out of tolerance. Jobs tied at the
+        head's mark are forced out together, so the forms agree there."""
+        scenario = _PoolScenario(
+            capacity=32e9,
+            job_cap=None,
+            pools=((0.0, 3, 1e-3, 2.1875e-07),),
+            units=(),
+            capacity_change=(1.375e-07, 16e3),
+            probes=(1.9375e-07,),
+            warmup=(1e5, 25.6e9, 32e3),
+        )
+        ref, new = _run_copies_oracle(scenario)
+        assert ref.srv.drifts == new.srv.drifts == 1
+        assert ref.pools[0].completed_rounds == new.pools[0].completed_rounds == 6
+
+    def test_copies_count_toward_the_load(self):
+        sim, srv = make_server(capacity=6, job_cap=1)
+        job = srv.submit(3.0, copies=12)
+        assert srv.active_jobs == 12
+        assert srv.rate_per_job() == 0.5
+        sim.run_until_event(job.done)
+        assert sim.now == pytest.approx(6.0)
+        assert srv.load_snapshot()["updates"] == 13
+
+    @pytest.mark.parametrize("copies", [0, -2])
+    def test_copies_below_one_rejected(self, copies):
+        _sim, srv = make_server()
+        with pytest.raises(SimulationError, match="copies"):
+            srv.submit(1.0, copies=copies)
+
+    def test_cancel_removes_every_copy(self):
+        sim, srv = make_server(capacity=2)
+        job = srv.submit(4.0, copies=3)
+        other = srv.submit(1.0)
+        sim.run(until=1.0)
+        srv.cancel(job)
+        assert srv.active_jobs == 1
+        snapshot = srv.load_snapshot()
+        # As three unit cancels would leave it: loads 3, 2, 1 visited.
+        assert (snapshot["min"], snapshot["max"], snapshot["updates"]) == (1, 4, 7)
+        sim.run_until_event(other.done)
+        assert not job.done.triggered

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    Histogram,
     MetricError,
     MetricsRegistry,
     flatten,
@@ -138,6 +139,29 @@ class TestHistogram:
             h3.observe(float(v))
         assert h1._reservoir == h2._reservoir
         assert h1._reservoir != h3._reservoir
+
+    def test_lazy_generator_matches_an_eager_one(self):
+        """A labelled histogram given the streams builds its generator
+        on first overflow, from the same cached stream its children
+        share: the snapshot equals one built with that stream up front."""
+
+        def drive(family):
+            for v in range(40):
+                family.labels(target="x86" if v % 3 else "fpga").observe(v * 0.5)
+            family.labels(target="fpga").observe_many(np.linspace(0.0, 9.0, 30))
+            return family.snapshot()
+
+        lazy = Histogram(
+            "lat", labelnames=("target",), reservoir_size=8, streams=RandomStreams(7)
+        )
+        eager = Histogram(
+            "lat",
+            labelnames=("target",),
+            reservoir_size=8,
+            rng=RandomStreams(7).stream("metrics/lat"),
+        )
+        assert drive(lazy) == drive(eager)
+        assert lazy.labels(target="x86")._rng is lazy.labels(target="fpga")._rng
 
     def test_empty_histogram_percentile_is_zero(self):
         h = MetricsRegistry().histogram("lat")

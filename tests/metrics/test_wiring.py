@@ -49,6 +49,21 @@ class TestRuntimeWiring:
         floor = 2 * loaded_run.server.socket_latency_s
         assert series["min"] == pytest.approx(floor) or series["min"] > floor
 
+    def test_no_reservoir_generator_before_an_overflow(self, loaded_run):
+        """Registering a histogram builds no generator: the metrics
+        streams get a ``metrics/<name>`` entry only when a reservoir
+        first overflows, which this run's few calls never do."""
+        metrics = loaded_run.metrics
+        histograms = [
+            family
+            for family in map(metrics.get, metrics.names())
+            if family.kind == "histogram"
+        ]
+        assert histograms and max(family.count for family in histograms) > 0
+        assert all(family.count < family.reservoir_size for family in histograms)
+        streams = metrics._rng
+        assert [key for key in streams._streams if key.startswith("metrics/")] == []
+
     def test_cpu_load_gauge_tracks_background(self, loaded_run):
         fam = _family(loaded_run.metrics.snapshot(), "cpu_load")
         x86 = _series(fam, cluster="x86")

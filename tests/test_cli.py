@@ -186,6 +186,12 @@ class TestArgumentTypes:
             # MG-B is a background-load profile, not an application.
             (["run", "mg.B"], "app"),
             (["cohort", "--apps", "mg.B", "--clients", "10"], "--apps"),
+            # A negative background count would give Algorithm 2 a load
+            # below the number of runnable processes.
+            (["run", "digit.500", "--background", "-3"], "--background"),
+            (["traffic", "--background", "-5"], "--background"),
+            (["cohort", "--background", "-3"], "--background"),
+            (["fleet", "--background", "-5"], "--background"),
         ],
     )
     def test_bad_values_get_a_usage_error(self, capsys, argv, flag):
