@@ -50,12 +50,10 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     """The parallel-sweep knobs shared by figure/table/report."""
     parser.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                         help="worker processes for sweep cells (0 or "
-                        "'auto' = all CPUs; default: $REPRO_SWEEP_JOBS or 1)")
+                        "'auto' = all CPUs; default: 1)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="content-addressed on-disk result cache for "
                         "sweep cells (reruns only simulate changed cells)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache and always simulate")
 
 
 def _int_at_least(minimum: int):
@@ -109,12 +107,6 @@ def _workload(text: str) -> str:
     return text
 
 
-def _sweep_options(args: argparse.Namespace):
-    """(jobs, cache) from parsed flags; --no-cache wins."""
-    cache = None if args.no_cache else args.cache
-    return args.jobs, cache
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -131,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate one of the paper's figures")
     figure.add_argument("number", type=int, choices=sorted(_FIGURES))
-    figure.add_argument("--repeats", type=int, default=10,
+    figure.add_argument("--repeats", type=_positive_int, default=10,
                         help="repeats for the randomized-set figures (3-5)")
     figure.add_argument("--seed", type=int, default=0)
     _add_sweep_flags(figure)
@@ -142,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=sorted(_MODES), default="xar-trek")
     run.add_argument("--background", type=_non_negative_int, default=0,
                      help="MG-B load generators on the x86 host")
-    run.add_argument("--calls", type=int, default=None,
+    run.add_argument("--calls", type=_positive_int, default=None,
                      help="override calls per run (throughput app)")
     run.add_argument("--deadline", type=float, default=None,
                      help="stop issuing calls after this many seconds")
@@ -155,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="regenerate every table and figure (EXPERIMENTS.md data)"
     )
-    report.add_argument("--repeats", type=int, default=10)
+    report.add_argument("--repeats", type=_positive_int, default=10)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--quick", action="store_true",
                         help="3 repeats and skip the periodic figures")
@@ -235,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="rate multiplier while the spike is active")
     traffic.add_argument("--calls-alpha", type=float, default=1.5,
                          help="Pareto tail index for session lengths")
-    traffic.add_argument("--calls-max", type=int, default=4,
+    traffic.add_argument("--calls-max", type=_positive_int, default=4,
                          help="session-length cap (calls per client)")
     traffic.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
@@ -263,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cohort.add_argument("--clients", type=_positive_int, default=10_000,
                         help="total clients across all cohorts (an app "
                         "dealt none is left out)")
-    cohort.add_argument("--calls", type=int, default=5,
+    cohort.add_argument("--calls", type=_positive_int, default=5,
                         help="scheduler calls per client")
     cohort.add_argument("--apps", nargs="+", type=_workload, default=None,
                         help="applications, one cohort each (default: the "
@@ -271,11 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cohort.add_argument("--background", type=_non_negative_int, default=50,
                         help="static background processes on the x86 host")
     cohort.add_argument("--seed", type=int, default=0)
-    cohort.add_argument("--reference", action="store_true",
-                        help="force the per-client reference path")
-    cohort.add_argument("--verify", action="store_true",
-                        help="run both paths and assert bit-identical "
-                        "per-client results (the differential oracle)")
     cohort.add_argument("--json", default=None, metavar="FILE",
                         help="also write the per-cohort summary as JSON")
 
@@ -289,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--clients", type=_positive_int, default=10_000,
                        help="total clients across all cohorts (an app "
                        "dealt none is left out)")
-    fleet.add_argument("--calls", type=int, default=5,
+    fleet.add_argument("--calls", type=_positive_int, default=5,
                        help="scheduler calls per client")
     fleet.add_argument("--apps", nargs="+", type=_workload, default=None,
                        help="applications, one cohort each (default: the "
@@ -313,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument("--apps", nargs="+", type=_workload, default=None,
                          help="explicit app list (default: sample like Figure 5)")
-    metrics.add_argument("--set-size", type=int, default=10,
+    metrics.add_argument("--set-size", type=_positive_int, default=10,
                          help="sampled set size when --apps is not given")
     metrics.add_argument("--total-processes", type=int, default=120,
                          help="target process count incl. MG-B background")
@@ -356,10 +343,9 @@ def _cmd_list() -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     import repro.experiments as experiments
 
-    jobs, cache = _sweep_options(args)
     fn = getattr(experiments, _TABLES[args.number])
     if args.number == 1:
-        result = fn(jobs=jobs, cache=cache)
+        result = fn(jobs=args.jobs, cache=args.cache)
     else:
         result = fn()
     print(result.to_text())
@@ -369,13 +355,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     import repro.experiments as experiments
 
-    jobs, cache = _sweep_options(args)
     number = args.number
     fn = getattr(experiments, _FIGURES[number])
     if number in (3, 4, 5):
-        result = fn(repeats=args.repeats, seed=args.seed, jobs=jobs, cache=cache)
+        result = fn(
+            repeats=args.repeats, seed=args.seed, jobs=args.jobs, cache=args.cache
+        )
     elif number == 6:
-        result = fn(seed=args.seed, jobs=jobs, cache=cache)
+        result = fn(seed=args.seed, jobs=args.jobs, cache=args.cache)
     elif number in (7, 8, 9):
         result = fn(seed=args.seed)
     else:
@@ -387,10 +374,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report, sweep_stats_section
 
-    jobs, cache = _sweep_options(args)
     for result in generate_report(
         repeats=args.repeats, seed=args.seed, quick=args.quick,
-        jobs=jobs, cache=cache,
+        jobs=args.jobs, cache=args.cache,
     ):
         print(result.to_text())
         print()
@@ -582,21 +568,9 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     import json
 
     apps, specs = _deal_cohorts(args)
-
-    def run(vectorized):
-        runtime = build_system(apps, seed=args.seed)
-        return runtime.run_cohorts(
-            specs, background=args.background, vectorized=vectorized
-        )
-
-    result = run(not args.reference)
-    if args.verify:
-        reference = run(False if not args.reference else True)
-        if reference.lines() != result.lines():
-            print("VERIFY FAIL : vectorized and per-client paths diverge")
-            return 1
-        print("verify      : both paths bit-identical "
-              f"({result.clients} clients, {len(result.cohorts)} cohorts)")
+    result = build_system(apps, seed=args.seed).run_cohorts(
+        specs, background=args.background
+    )
     print(f"path        : {result.path}")
     print(f"clients     : {result.clients} in {len(result.cohorts)} cohorts")
     print(f"sim events  : {result.sim_events}")

@@ -12,7 +12,8 @@ The model is *open loop*: the x86 load a decision sees is computed
 from the population's arrival/departure schedule (a searchsorted over
 two presorted arrays), not from feedback of earlier decisions. That
 makes the per-client reference path (one generator per client, scalar
-:func:`repro.core.policy.decide` per call) and the vectorized path
+:func:`repro.core.policy.decide` per call; it lives in
+``tests/core/cohort_reference.py``) and the vectorized path
 bit-identical by construction, and the equivalence is enforced as a
 continuously-tested contract by ``tests/core/test_cohort_oracle.py``:
 identical per-client completion times, decision targets/rules, metrics
@@ -50,7 +51,6 @@ fallback counter. Faults on calls decided to a CPU target are no-ops.
 
 Bit-identity requires the run to start at simulated time 0.0 (so that
 ``0.0 + a == a`` exactly); :meth:`CohortPopulation.run` asserts this.
-Pass ``vectorized=False`` to run the per-client path.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.policy import decide
+# Unused here; bench/trace.py wraps ``repro.core.cohort.decide`` by name,
+# so the binding stays until that entry-point list changes.
+from repro.core.policy import decide  # noqa: F401
 from repro.core.server import DEFAULT_SOCKET_LATENCY_S, SchedulerServer, ServerStats
 from repro.metrics import MetricsRegistry
 from repro.sim import Simulator
@@ -281,6 +283,9 @@ class CohortPopulation:
     processes (the MG-B pool, open-loop).
     """
 
+    #: The ``cohort_runs_total{path}`` label and ``CohortRunResult.path``.
+    path = "vectorized"
+
     def __init__(
         self,
         specs: Iterable[CohortSpec],
@@ -411,22 +416,9 @@ class CohortPopulation:
         departed = np.searchsorted(self._ends, times, side="right")
         return present - departed + (self.background + 1)
 
-    def load_at(self, t: float) -> int:
-        """``L(t)`` for one query time (the reference path's view)."""
-        present = np.searchsorted(self._starts, t, side="right")
-        departed = np.searchsorted(self._ends, t, side="right")
-        return int(present) - int(departed) + self.background + 1
-
     # -- execution ----------------------------------------------------------
-    def run(
-        self,
-        sim: Optional[Simulator] = None,
-        vectorized: bool = True,
-    ) -> CohortRunResult:
-        """Simulate the whole population; return per-client results.
-
-        ``vectorized=False`` runs the per-client reference path.
-        """
+    def run(self, sim: Optional[Simulator] = None) -> CohortRunResult:
+        """Simulate the whole population; return per-client results."""
         if sim is None:
             sim = Simulator()
         if sim.now != 0.0:
@@ -435,7 +427,6 @@ class CohortPopulation:
                 "bit-identity between the vectorized and reference paths "
                 "relies on arrival times being absolute"
             )
-        path = "vectorized" if vectorized else "reference"
         results = [
             CohortResult(
                 index=c.index,
@@ -452,20 +443,11 @@ class CohortPopulation:
         target_tally = np.zeros(3, dtype=np.int64)
         rule_tally = np.zeros(len(RULES), dtype=np.int64)
         events_before = sim.events_processed
-        if vectorized:
-            for cohort, result in zip(self._cohorts, results):
-                self._start_vectorized(sim, cohort, result, target_tally, rule_tally)
-        else:
-            for cohort, result in zip(self._cohorts, results):
-                for client in range(cohort.n):
-                    sim.spawn(
-                        self._client(
-                            sim, cohort, client, result, target_tally, rule_tally
-                        )
-                    )
+        for cohort, result in zip(self._cohorts, results):
+            self._start(sim, cohort, result, target_tally, rule_tally)
         sim.run()
         run_result = CohortRunResult(
-            path=path,
+            path=self.path,
             cohorts=results,
             clients=self.clients,
             logical_events=self.logical_events,
@@ -493,7 +475,8 @@ class CohortPopulation:
         self._runs_counter.labels(path=run.path).inc()
 
     # -- the vectorized path ------------------------------------------------
-    def _start_vectorized(self, sim, cohort, result, target_tally, rule_tally):
+    def _start(self, sim, cohort, result, target_tally, rule_tally):
+        """Schedule ``cohort``'s first call round on ``sim``."""
         finish = cohort.arrivals + cohort.host_s
         sim.call_at(
             float(np.max(finish + cohort.call_host_s)),
@@ -562,33 +545,3 @@ class CohortPopulation:
         ).astype(np.int8)
         rules = np.where(gt_fpga, hot_rule, 2 * gt_arm).astype(np.uint8)
         return targets, rules
-
-    # -- the per-client reference path --------------------------------------
-    def _client(self, sim, cohort, client, result, target_tally, rule_tally):
-        """One client as a generator process: the canonical model.
-
-        Every addition to simulated time happens in the same order as
-        the vectorized path's array arithmetic, so the two paths agree
-        bit for bit, not approximately.
-        """
-        yield sim.timeout(float(cohort.arrivals[client]))
-        yield sim.timeout(cohort.host_s)
-        for call in range(cohort.calls):
-            yield sim.timeout(cohort.call_host_s)
-            load = self.load_at(sim.now)
-            decision = decide(load, cohort.entry, cohort.available)
-            target = int(decision.target)
-            result.targets[client, call] = target
-            result.rules[client, call] = _RULE_INDEX[decision.rule]
-            target_tally[target] += 1
-            rule_tally[_RULE_INDEX[decision.rule]] += 1
-            if target == _FPGA and (client, call) in cohort.faults:
-                delay = cohort.fault_delay
-                served = _X86
-                result.fault_fallbacks += 1
-            else:
-                delay = float(cohort.rts[target])
-                served = int(cohort.served_map[target])
-            result.served[client, call] = served
-            yield sim.timeout(delay)
-        result.completions[client] = sim.now

@@ -291,7 +291,6 @@ class XarTrekRuntime:
         self,
         specs,
         background: int = 0,
-        vectorized: bool = True,
         fault_plan=None,
         resident_kernels=None,
     ):
@@ -303,8 +302,7 @@ class XarTrekRuntime:
         (:meth:`~repro.core.server.ServerStats.record_decisions`). A
         ``fault_plan`` is resolved ahead of time to individual clients
         via :func:`repro.faults.cohort.resolve_cohort_faults`. Returns
-        a :class:`~repro.core.cohort.CohortRunResult`; pass
-        ``vectorized=False`` for the per-client reference path.
+        a :class:`~repro.core.cohort.CohortRunResult`.
         """
         from repro.core.cohort import CohortPopulation
         from repro.faults.cohort import resolve_cohort_faults
@@ -322,7 +320,7 @@ class XarTrekRuntime:
             resident_kernels=resident_kernels,
             fault_targets=fault_targets,
         )
-        return population.run(sim=self.platform.sim, vectorized=vectorized)
+        return population.run(sim=self.platform.sim)
 
     def launch_background(
         self, n_processes: int, work_s: Optional[float] = None, duty: float = 1.0

@@ -66,7 +66,6 @@ __all__ = [
     "cells_for_sets",
     "cells_for_throughput",
     "derive_seeds",
-    "parallel_threshold",
     "platform_config_hash",
     "resolve_jobs",
     "results_checksum",
@@ -74,23 +73,12 @@ __all__ = [
     "run_cells",
     "shutdown_pool",
     "sweep_metrics",
-    "warm_pool",
 ]
 
-#: Environment variable read by :func:`resolve_jobs` when no explicit
-#: ``jobs`` is given (CI sets it to exercise the pool path).
-JOBS_ENV = "REPRO_SWEEP_JOBS"
-
-#: Environment variable overriding :func:`parallel_threshold` — the
-#: minimum number of to-be-executed cells before a multi-job sweep
-#: actually spins up the process pool. ``0`` disables the serial
-#: fallback entirely (CI sets it to force the pool path on tiny
-#: sweeps so the serial/parallel equivalence contract stays covered).
-MIN_CELLS_ENV = "REPRO_SWEEP_MIN_CELLS"
-
-#: Default pool-worthiness threshold, in pending cells per worker.
-#: Spawning workers and pickling cells costs real wall time; a cell
-#: simulates in the low tens of milliseconds, so a worker needs a
+#: Pool-worthiness threshold, in pending cells per worker: a multi-job
+#: sweep with fewer pending cells than this times its worker count runs
+#: serially. Spawning workers and pickling cells costs real wall time; a
+#: cell simulates in the low tens of milliseconds, so a worker needs a
 #: batch of them before the pool amortizes (the committed bench once
 #: recorded parallel_speedup 0.66 — a slowdown — on a 27-cell grid).
 _MIN_CELLS_PER_WORKER = 16
@@ -420,28 +408,15 @@ def _as_cache(cache) -> Optional[SweepCache]:
 # ---------------------------------------------------------------------------
 
 def resolve_jobs(jobs: Optional[int | str] = None) -> int:
-    """Normalize a ``--jobs`` value: ``None`` falls back to the
-    ``REPRO_SWEEP_JOBS`` env var (default 1); 0 or ``"auto"`` means all
-    CPUs."""
+    """Normalize a ``--jobs`` value: ``None`` means 1; 0 or ``"auto"``
+    means all CPUs."""
     if jobs is None:
-        jobs = os.environ.get(JOBS_ENV, "1")
+        return 1
     if isinstance(jobs, str):
         jobs = 0 if jobs.strip().lower() == "auto" else int(jobs)
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, int(jobs))
-
-
-def parallel_threshold(workers: int) -> int:
-    """Minimum pending-cell count for the pool to be worth starting.
-
-    Defaults to ``16 * workers``; the ``REPRO_SWEEP_MIN_CELLS`` env var
-    overrides it outright (``0`` disables the serial fallback).
-    """
-    raw = os.environ.get(MIN_CELLS_ENV)
-    if raw is not None:
-        return max(0, int(raw))
-    return _MIN_CELLS_PER_WORKER * max(1, workers)
 
 
 @dataclass
@@ -451,9 +426,9 @@ class SweepStats:
     ``jobs`` is the *requested* worker count (after
     :func:`resolve_jobs`); ``workers`` is how many actually ran, and
     ``mode`` records whether the process pool was used — a multi-job
-    sweep falls back to ``"serial"`` when the pending-cell count is
-    below :func:`parallel_threshold`, where pool startup would cost
-    more than it buys.
+    sweep falls back to ``"serial"`` when fewer than
+    ``_MIN_CELLS_PER_WORKER`` cells per worker are pending, where pool
+    startup would cost more than it buys.
     """
 
     cells_total: int = 0
@@ -537,10 +512,8 @@ def _record_stats(registry: MetricsRegistry, stats: SweepStats, results) -> None
 # Spinning up a ProcessPoolExecutor per run_cells call made the bench's
 # 27-cell parallel leg *slower* than serial (parallel_speedup 0.92):
 # worker spawn plus a cold per-worker compile cache cost more than the
-# grid. The pool is therefore process-global and reused across calls —
-# workers keep their warm ``repro.core.runtime._COMPILE_CACHE`` — and
-# :func:`warm_pool` pre-spawns workers and prebuilds the default
-# runtime in each before a timed section.
+# grid. The pool is therefore process-global and reused across calls:
+# workers keep their warm ``repro.core.runtime._COMPILE_CACHE``.
 
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
@@ -571,37 +544,10 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _warm_worker(_index: int) -> bool:
-    """Worker-side warmup: prebuild the default-benchmark runtime.
-
-    Populates the worker's compile cache (a no-op under the fork start
-    method, which inherits the parent's, but load-bearing under spawn).
-    """
-    build_system(PAPER_BENCHMARKS, seed=0)
-    return True
-
-
-def warm_pool(jobs: Optional[int | str] = None) -> int:
-    """Pre-spawn the shared pool and warm every worker's caches.
-
-    Returns the worker count (0 when ``jobs`` resolves to serial).
-    Call before a timed parallel section so worker startup and compile
-    time do not bill to it; tasks are dispatched with chunksize 1 so
-    the warmup fans out across the pool.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1:
-        return 0
-    pool = _pool_for(jobs)
-    list(pool.map(_warm_worker, range(_POOL_WORKERS), chunksize=1))
-    return _POOL_WORKERS
-
-
 def run_cells(
     cells: Iterable[Cell],
     jobs: Optional[int | str] = None,
     cache: Optional[SweepCache | str | os.PathLike] = None,
-    chunksize: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> SweepOutcome:
     """Execute cells, possibly in parallel, preserving emission order.
@@ -612,21 +558,18 @@ def run_cells(
     ``cache``, previously simulated cells are loaded instead of re-run
     and fresh results are stored after execution.
 
-    ``chunksize`` controls how many cells each pool task carries
-    (default: enough for ~4 chunks per worker) to amortize worker
-    startup and per-task pickling.
+    Each pool task carries enough cells for about four chunks per
+    worker, to amortize per-task pickling.
 
     A multi-job call still runs serially when fewer than
-    :func:`parallel_threshold` cells actually need simulating — pool
-    startup costs hundreds of milliseconds, which on a small grid of
-    tens-of-milliseconds cells is a net slowdown, not a speedup. The
-    chosen path lands in ``SweepOutcome.stats.mode`` and the
-    ``sweep_runs_total{mode}`` counter; ``REPRO_SWEEP_MIN_CELLS=0``
-    disables the fallback.
+    ``_MIN_CELLS_PER_WORKER`` cells per worker actually need
+    simulating — pool startup costs hundreds of milliseconds, which on
+    a small grid of tens-of-milliseconds cells is a net slowdown, not a
+    speedup. The chosen path lands in ``SweepOutcome.stats.mode`` and
+    the ``sweep_runs_total{mode}`` counter.
 
     The worker pool persists across calls (workers keep their warm
-    compile caches); :func:`warm_pool` pre-spawns it ahead of a timed
-    section and :func:`shutdown_pool` tears it down.
+    compile caches); :func:`shutdown_pool` tears it down.
     """
     cells = list(cells)
     jobs = resolve_jobs(jobs)
@@ -644,12 +587,11 @@ def run_cells(
             pending.append(index)
     workers = 1
     mode = "serial"
-    threshold = parallel_threshold(min(jobs, len(pending)))
-    use_pool = jobs > 1 and len(pending) > 1 and len(pending) >= threshold
-    if use_pool:
-        workers = min(jobs, len(pending))
+    pool_workers = min(jobs, len(pending))
+    if pool_workers > 1 and len(pending) >= _MIN_CELLS_PER_WORKER * pool_workers:
+        workers = pool_workers
         mode = "parallel"
-        chunk = chunksize or max(1, math.ceil(len(pending) / (workers * 4)))
+        chunk = max(1, math.ceil(len(pending) / (workers * 4)))
         pool = _pool_for(workers)
         try:
             fresh = pool.map(

@@ -170,6 +170,54 @@ class ResilienceConfig:
         return self.retry_backoff_s * self.retry_backoff_factor ** attempt
 
 
+class _StepSeries:
+    """A step-valued gauge series kept incrementally: the value, its
+    min and max, the time integral, and the update count.
+
+    :meth:`snapshot` has the :meth:`repro.metrics.Gauge.bind_sampler`
+    shape, so a state machine can export its state with no metric
+    writes on the hot path. The series starts at 0.0 at construction;
+    its min and max include that start, and only :meth:`set` counts as
+    an update.
+    """
+
+    __slots__ = (
+        "clock", "value", "_t0", "_last_t", "_min", "_max", "_integral", "_updates",
+    )
+
+    def __init__(self, clock: Callable[[], float]):
+        self.clock = clock
+        now = clock()
+        self._t0 = now
+        self._last_t = now
+        self.value = 0.0
+        self._min = 0.0
+        self._max = 0.0
+        self._integral = 0.0
+        self._updates = 0
+
+    def set(self, value: float) -> None:
+        now = self.clock()
+        self._integral += self.value * (now - self._last_t)
+        self._last_t = now
+        self.value = value
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
+        self._updates += 1
+
+    def snapshot(self) -> dict[str, float]:
+        now = self.clock()
+        elapsed = now - self._t0
+        integral = self._integral + self.value * (now - self._last_t)
+        return {
+            "value": self.value,
+            "min": self._min,
+            "max": self._max,
+            "time_weighted_mean": integral / elapsed if elapsed > 0 else self.value,
+            "updates": self._updates,
+        }
+
+
 class BreakerState:
     """One target's circuit-breaker state machine.
 
@@ -178,10 +226,9 @@ class BreakerState:
     half-open --success--> closed, --failure--> open (fresh cooldown)
 
     The numeric encoding (closed 0, half-open 0.5, open 1) doubles as a
-    gauge series: the state keeps value/min/max/time-weighted-mean
-    aggregates incrementally, so :meth:`snapshot` is pull-sampled by
-    :meth:`repro.metrics.Gauge.bind_sampler` with no per-transition
-    metric writes on the hot path.
+    gauge series (:class:`_StepSeries`), so :meth:`snapshot` is
+    pull-sampled by :meth:`repro.metrics.Gauge.bind_sampler` with no
+    per-transition metric writes on the hot path.
     """
 
     CLOSED, HALF_OPEN, OPEN = "closed", "half-open", "open"
@@ -189,8 +236,7 @@ class BreakerState:
 
     __slots__ = (
         "clock", "threshold", "cooldown_s", "state", "failures",
-        "opened_at", "open_count",
-        "_t0", "_last_t", "_value", "_min", "_max", "_integral", "_updates",
+        "opened_at", "open_count", "_series",
     )
 
     def __init__(self, clock: Callable[[], float], threshold: int, cooldown_s: float):
@@ -201,38 +247,16 @@ class BreakerState:
         self.failures = 0          # consecutive failures while closed
         self.opened_at = 0.0
         self.open_count = 0        # times the breaker tripped open
-        now = clock()
-        self._t0 = now
-        self._last_t = now
-        self._value = 0.0
-        self._min = 0.0
-        self._max = 0.0
-        self._integral = 0.0
-        self._updates = 0
+        self._series = _StepSeries(clock)
 
     # -- gauge aggregates ---------------------------------------------------
     def _transition(self, state: str) -> None:
-        now = self.clock()
-        self._integral += self._value * (now - self._last_t)
-        self._last_t = now
         self.state = state
-        self._value = BreakerState._VALUE[state]
-        self._min = min(self._min, self._value)
-        self._max = max(self._max, self._value)
-        self._updates += 1
+        self._series.set(BreakerState._VALUE[state])
 
     def snapshot(self) -> dict[str, float]:
         """Gauge-shaped view (:meth:`Gauge.bind_sampler` contract)."""
-        now = self.clock()
-        elapsed = now - self._t0
-        integral = self._integral + self._value * (now - self._last_t)
-        return {
-            "value": self._value,
-            "min": self._min,
-            "max": self._max,
-            "time_weighted_mean": integral / elapsed if elapsed > 0 else self._value,
-            "updates": self._updates,
-        }
+        return self._series.snapshot()
 
     # -- the state machine --------------------------------------------------
     def allow(self) -> bool:
@@ -360,9 +384,9 @@ class OverloadGuard:
     ``shed`` (2) — driven by :meth:`update` from the scheduler's x86
     load with hysteresis per :class:`OverloadConfig`. Like
     :class:`BreakerState`, the numeric encoding doubles as a pull-mode
-    gauge (``brownout_state``), and the admission queue depth keeps
-    its own gauge-shaped aggregates (``admission_queue_depth``)
-    incrementally, sampled at snapshot time. Both families — plus
+    gauge (``brownout_state``), and the admission queue depth is a
+    second one (``admission_queue_depth``); each is a
+    :class:`_StepSeries` sampled at snapshot time. Both families — plus
     ``shed_total{reason}`` — exist only when a guard is constructed,
     so runs without overload protection export exactly the metric set
     they always did.
@@ -383,22 +407,8 @@ class OverloadGuard:
         self.depth = 0             # requests waiting in the admission queue
         self.transitions = 0       # ladder moves (any direction)
         self._last_load = 0.0      # most recent load fed to update()
-        now = clock()
-        # brownout_state aggregates
-        self._b_t0 = now
-        self._b_last_t = now
-        self._b_value = 0.0
-        self._b_min = 0.0
-        self._b_max = 0.0
-        self._b_integral = 0.0
-        self._b_updates = 0
-        # admission_queue_depth aggregates
-        self._q_t0 = now
-        self._q_last_t = now
-        self._q_min = 0.0
-        self._q_max = 0.0
-        self._q_integral = 0.0
-        self._q_updates = 0
+        self._brownout = _StepSeries(clock)
+        self._queue = _StepSeries(clock)
         self._shed_children: dict[str, object] = {}
         self._m_shed = None
         if metrics is not None:
@@ -410,50 +420,16 @@ class OverloadGuard:
             metrics.gauge(
                 "brownout_state",
                 "brownout ladder rung (0 full, 1 x86-only, 2 shed)",
-            ).bind_sampler(self._brownout_snapshot)
+            ).bind_sampler(self._brownout.snapshot)
             metrics.gauge(
                 "admission_queue_depth",
                 "requests waiting in the scheduler admission queue",
-            ).bind_sampler(self._queue_snapshot)
-
-    # -- gauge samplers ------------------------------------------------------
-    def _brownout_snapshot(self) -> dict[str, float]:
-        now = self.clock()
-        elapsed = now - self._b_t0
-        integral = self._b_integral + self._b_value * (now - self._b_last_t)
-        return {
-            "value": self._b_value,
-            "min": self._b_min,
-            "max": self._b_max,
-            "time_weighted_mean": (
-                integral / elapsed if elapsed > 0 else self._b_value
-            ),
-            "updates": self._b_updates,
-        }
-
-    def _queue_snapshot(self) -> dict[str, float]:
-        now = self.clock()
-        depth = float(self.depth)
-        elapsed = now - self._q_t0
-        integral = self._q_integral + depth * (now - self._q_last_t)
-        return {
-            "value": depth,
-            "min": self._q_min,
-            "max": self._q_max,
-            "time_weighted_mean": integral / elapsed if elapsed > 0 else depth,
-            "updates": self._q_updates,
-        }
+            ).bind_sampler(self._queue.snapshot)
 
     # -- the ladder ----------------------------------------------------------
     def _transition(self, state: str) -> None:
-        now = self.clock()
-        self._b_integral += self._b_value * (now - self._b_last_t)
-        self._b_last_t = now
         self.state = state
-        self._b_value = OverloadGuard._VALUE[state]
-        self._b_min = min(self._b_min, self._b_value)
-        self._b_max = max(self._b_max, self._b_value)
-        self._b_updates += 1
+        self._brownout.set(OverloadGuard._VALUE[state])
         self.transitions += 1
 
     def update(self, load: float) -> str:
@@ -531,21 +507,13 @@ class OverloadGuard:
             )
         child.inc()
 
-    def _note_depth_change(self) -> None:
-        now = self.clock()
-        depth = float(self.depth)
-        self._q_integral += depth * (now - self._q_last_t)
-        self._q_last_t = now
-        self._q_updates += 1
-
     def enqueued(self) -> None:
-        self._note_depth_change()
         self.depth += 1
-        self._q_max = max(self._q_max, float(self.depth))
+        self._queue.set(float(self.depth))
 
     def dequeued(self) -> None:
-        self._note_depth_change()
         self.depth = max(0, self.depth - 1)
+        self._queue.set(float(self.depth))
 
     def snapshot(self) -> dict[str, float]:
         """The backpressure view a :class:`LoadDigest` carries."""

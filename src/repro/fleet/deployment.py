@@ -385,7 +385,6 @@ class FleetDeployment:
         self,
         specs: Sequence[CohortSpec],
         background: int = 0,
-        vectorized: bool = True,
         fault_plans: Optional[dict[int, object]] = None,
         jobs: int = 1,
     ) -> FleetCohortResult:
@@ -443,7 +442,7 @@ class FleetDeployment:
                 server=node.server,
                 fault_targets=fault_targets.get(node.index),
             )
-            result = population.run(sim=Simulator(), vectorized=vectorized)
+            result = population.run(sim=Simulator())
             node_results.append((node.index, result))
         clients = 0
         logical_events = 0

@@ -205,9 +205,7 @@ class _Deferred:
         # this very record back off the free list.
         self._fn = None
         self._arg = None
-        sim = self.sim
-        if sim._recycle:
-            sim._free.append(self)
+        self.sim._free.append(self)
         if arg is _NO_ARG:
             fn()
         else:
@@ -276,15 +274,11 @@ class Simulator:
         "_active_process",
         "events_processed",
         "_free",
-        "_recycle",
         "deferred_allocations",
         "deferred_reuses",
     )
 
-    def __init__(self, recycle: Optional[bool] = None):
-        """``recycle=False`` turns the :meth:`defer` free list off (every
-        defer then allocates a fresh record — the reference path the
-        recycling differential test compares against); ``None`` means on."""
+    def __init__(self):
         self.now: float = 0.0
         #: Binary heap of ``(at, seq, event)`` tuples; ``seq`` breaks
         #: timestamp ties in scheduling order.
@@ -298,7 +292,6 @@ class Simulator:
         #: exposing its effectiveness (tested: a long run must mostly
         #: reuse rather than allocate).
         self._free: list = []
-        self._recycle = True if recycle is None else recycle
         self.deferred_allocations: int = 0
         self.deferred_reuses: int = 0
 

@@ -1,14 +1,14 @@
 """The cohort differential oracle: vectorized == per-client, bit for bit.
 
-:mod:`repro.core.cohort` carries two implementations of the same client
-model — one generator process per client (the canonical reference) and
-a numpy-vectorized fast path that advances a whole cohort per simulator
-event. Their equivalence is a *contract*, not a one-off check: every
-property here runs both paths over hypothesis-generated populations
-(workload mixes, arrival laws, threshold orderings, fault plans,
-cohort split boundaries) and demands identical per-client completion
-times, decision targets/rules, serving targets, metrics snapshots, and
-checksum lines. "Identical" means byte-identical float64 arrays — the
+:mod:`repro.core.cohort` advances a whole cohort per simulator event
+with numpy arrays; ``ReferencePopulation`` (``cohort_reference.py``)
+keeps the client model it was vectorized from, one generator process
+per client, as the canonical reference. Their equivalence is a
+*contract*, not a one-off check: every property here runs both paths
+over hypothesis-generated populations (workload mixes, arrival laws,
+threshold orderings, fault plans, cohort split boundaries) and demands
+identical per-client completion times, decision targets/rules, serving
+targets, metrics snapshots, and checksum lines. "Identical" means byte-identical float64 arrays — the
 two paths are required to perform the same IEEE additions in the same
 order, so ``tobytes()`` equality is the bar, not ``allclose``.
 """
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.cohort
 from repro.core import build_system
 from repro.core.cohort import (
     RULES,
@@ -38,6 +39,7 @@ from repro.sim import Simulator
 from repro.thresholds import ThresholdEntry, ThresholdTable
 from repro.types import Target
 from repro.workloads import profile_for
+from tests.core.cohort_reference import ReferencePopulation
 from tests.experiments.contract import cohort_stress_specs
 
 pytestmark = pytest.mark.metrics
@@ -117,17 +119,17 @@ def _table_for(apps, fpga_thr=5.0, arm_thr=15.0):
 
 
 def _run_both(specs, background, table, fault_targets=None):
-    runs, snaps = {}, {}
-    for vectorized in (True, False):
-        population = CohortPopulation(
+    runs, snaps = [], []
+    for population_class in (CohortPopulation, ReferencePopulation):
+        population = population_class(
             specs,
             background=background,
             thresholds=table,
             fault_targets=fault_targets,
         )
-        runs[vectorized] = population.run(vectorized=vectorized)
-        snaps[vectorized] = population.metrics.snapshot()
-    return runs[True], runs[False], snaps[True], snaps[False]
+        runs.append(population.run())
+        snaps.append(population.metrics.snapshot())
+    return runs[0], runs[1], snaps[0], snaps[1]
 
 
 def _assert_equivalent(vec, ref, vec_snap, ref_snap):
@@ -229,12 +231,12 @@ class TestDifferentialOracle:
 
         merged = CohortPopulation(
             [spec(times)], background=background, thresholds=table
-        ).run(vectorized=True)
+        ).run()
         parts = CohortPopulation(
             [spec(times[:split]), spec(times[split:])],
             background=background,
             thresholds=table,
-        ).run(vectorized=True)
+        ).run()
         whole = merged.cohorts[0]
         left, right = parts.cohorts
         assert (
@@ -313,7 +315,7 @@ class TestEventAccounting:
                 arrival=ArrivalLaw("poisson", span=5.0), seed=3,
             )
         ]
-        population = CohortPopulation(
+        population = ReferencePopulation(
             specs, background=7, thresholds=_table_for(["facedet.320"])
         )
         times = np.linspace(0.0, 30.0, 200)
@@ -378,11 +380,11 @@ class TestValidation:
         with pytest.raises(CohortError, match="time 0.0"):
             population.run(sim=sim)
 
-    def test_vectorized_flag_selects_the_path(self):
+    def test_population_class_selects_the_path(self):
         specs = [CohortSpec("digit.500", 3, calls=1)]
         table = _table_for(["digit.500"])
         assert CohortPopulation(specs, thresholds=table).run().path == "vectorized"
-        reference = CohortPopulation(specs, thresholds=table).run(vectorized=False)
+        reference = ReferencePopulation(specs, thresholds=table).run()
         assert reference.path == "reference"
 
 
@@ -519,7 +521,9 @@ class TestRuntimeIntegration:
         assert decided == 20 * 2
         assert runtime.server.stats.requests == before + decided
 
-    def test_run_cohorts_applies_fault_plan_identically_on_both_paths(self):
+    def test_run_cohorts_applies_fault_plan_identically_on_both_paths(
+        self, monkeypatch
+    ):
         specs = [
             CohortSpec("digit.500", 12, calls=2,
                        arrival=ArrivalLaw("staggered", span=6.0))
@@ -530,10 +534,10 @@ class TestRuntimeIntegration:
             specs=(FaultSpec(at_s=0.0, kind="kernel_fault",
                              target=kernel, count=3),)
         )
-        vec = runtime.run_cohorts(specs, fault_plan=plan, vectorized=True)
-        ref = build_system(["digit.500"], seed=0).run_cohorts(
-            specs, fault_plan=plan, vectorized=False
-        )
+        vec = runtime.run_cohorts(specs, fault_plan=plan)
+        monkeypatch.setattr(repro.core.cohort, "CohortPopulation", ReferencePopulation)
+        ref = build_system(["digit.500"], seed=0).run_cohorts(specs, fault_plan=plan)
+        assert (vec.path, ref.path) == ("vectorized", "reference")
         assert vec.lines() == ref.lines()
         assert vec.fault_fallbacks == ref.fault_fallbacks
 

@@ -174,11 +174,12 @@ def cohort_stress_specs(seed: int) -> list[CohortSpec]:
     return _cohort_specs(np.random.default_rng(seed), _APPS, 10_000, calls=5)
 
 
-def cohort_stress(seed: int, vectorized: bool = True) -> list[str]:
-    """10k cohort-vectorized clients on one deployment; ``vectorized=False``
-    runs the per-client reference path, which must give the same lines."""
+def cohort_stress(seed: int) -> list[str]:
+    """10k cohort-vectorized clients on one deployment. With
+    ``repro.core.cohort.CohortPopulation`` patched to the per-client
+    ``ReferencePopulation`` it must give the same lines."""
     result = build_system(_APPS, seed=seed).run_cohorts(
-        cohort_stress_specs(seed), background=50, vectorized=vectorized
+        cohort_stress_specs(seed), background=50
     )
     return ["cohort_stress:10000:50", *result.lines()]
 

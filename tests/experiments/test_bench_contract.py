@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.cohort
 from repro.faults import FaultPlan, default_plan
+from tests.core.cohort_reference import ReferencePopulation
 from tests.experiments.contract import SCENARIOS, checksum, cohort_stress, fold
 
 _CHAOS_PLAN = Path(__file__).resolve().parents[2] / "benchmarks" / "chaos_plan.json"
@@ -43,10 +45,11 @@ def test_seed_changes_the_checksum(name):
     assert checksum(name, seed=1) != COMMITTED[name]
 
 
-def test_cohort_stress_reference_path_matches_committed():
+def test_cohort_stress_reference_path_matches_committed(monkeypatch):
     # The per-client reference path must reproduce the vectorized
     # checksum byte for byte.
-    assert fold(cohort_stress(0, vectorized=False)) == COMMITTED["cohort_stress"]
+    monkeypatch.setattr(repro.core.cohort, "CohortPopulation", ReferencePopulation)
+    assert fold(cohort_stress(0)) == COMMITTED["cohort_stress"]
 
 
 def test_committed_chaos_plan_is_the_generated_one():

@@ -15,7 +15,12 @@ import pytest
 
 from repro.core import SystemMode, build_system
 from repro.experiments import (
+    arm_capacity_sensitivity,
+    average_execution_time,
+    background_duty_sensitivity,
+    figure6_throughput,
     fixed_workload_sweep,
+    reconfig_time_sensitivity,
     run_application_set,
     table1_execution_times,
     table3_load_classes,
@@ -26,7 +31,6 @@ from repro.experiments.sweep import (
     cells_for_sets,
     cells_for_throughput,
     derive_seeds,
-    parallel_threshold,
     platform_config_hash,
     resolve_jobs,
     results_checksum,
@@ -34,7 +38,6 @@ from repro.experiments.sweep import (
     run_cells,
     shutdown_pool,
     sweep_metrics,
-    warm_pool,
 )
 from repro.experiments import sweep as sweep_module
 from repro.metrics import MetricsRegistry
@@ -44,6 +47,17 @@ _MODES = (SystemMode.VANILLA_X86, SystemMode.XAR_TREK)
 
 def _mini_cells(repeats=2, background=30, seed=0):
     return cells_for_sets(3, _MODES, background=background, repeats=repeats, seed=seed)
+
+
+def _force_pool_on_tiny_grids(monkeypatch):
+    """Disable the small-grid serial fallback, so a mini grid still
+    goes through the process pool."""
+    monkeypatch.setattr(sweep_module, "_MIN_CELLS_PER_WORKER", 0)
+
+
+def _parallel_runs() -> int:
+    family = sweep_metrics().get("sweep_runs_total")
+    return 0 if family is None else int(family.as_dict().get(("parallel",), 0))
 
 
 class TestSeedDerivation:
@@ -93,10 +107,8 @@ class TestRunApplicationSet:
 class TestSerialParallelEquivalence:
     @pytest.fixture(autouse=True)
     def _force_pool(self, monkeypatch):
-        # These tests exist to exercise the process-pool path; disable
-        # the small-grid serial fallback so the mini grids still go
-        # through the pool.
-        monkeypatch.setenv("REPRO_SWEEP_MIN_CELLS", "0")
+        # These tests exist to exercise the process-pool path.
+        _force_pool_on_tiny_grids(monkeypatch)
 
     def test_jobs2_byte_identical_results(self):
         cells = _mini_cells()
@@ -130,6 +142,37 @@ class TestSerialParallelEquivalence:
         assert 0.0 < outcome.stats.worker_utilization <= 1.0
 
 
+#: Every run_cells caller not covered above (Fig. 3-5 and Table 1 are),
+#: each at a tiny size: jobs -> rows, or the (mean, std) pair.
+_RUN_CELLS_CALLERS = {
+    "average_execution_time": lambda jobs: average_execution_time(
+        3, SystemMode.XAR_TREK, background=20, repeats=2, jobs=jobs
+    ),
+    "figure6_throughput": lambda jobs: figure6_throughput(
+        background_loads=(0, 25), n_images=20, window_s=2.0, jobs=jobs
+    ).rows,
+    "background_duty_sensitivity": lambda jobs: background_duty_sensitivity(
+        duties=(0.5, 1.0), set_size=3, total_processes=20, repeats=1, jobs=jobs
+    ).rows,
+    "arm_capacity_sensitivity": lambda jobs: arm_capacity_sensitivity(
+        arm_cores=(12, 24), set_size=3, total_processes=20, repeats=1, jobs=jobs
+    ).rows,
+    "reconfig_time_sensitivity": lambda jobs: reconfig_time_sensitivity(
+        base_seconds=(0.5, 2.0), background=10, window_s=2.0, jobs=jobs
+    ).rows,
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_RUN_CELLS_CALLERS))
+def test_run_cells_caller_is_identical_through_the_pool(monkeypatch, caller):
+    _force_pool_on_tiny_grids(monkeypatch)
+    run = _RUN_CELLS_CALLERS[caller]
+    serial = run(1)
+    pooled_before = _parallel_runs()
+    assert run(2) == serial
+    assert _parallel_runs() > pooled_before
+
+
 class TestSerialFallback:
     """A multi-job sweep on a small grid must not pay for the pool.
 
@@ -139,8 +182,7 @@ class TestSerialFallback:
     now runs serially and says so in its stats.
     """
 
-    def test_small_grid_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_MIN_CELLS", raising=False)
+    def test_small_grid_falls_back_to_serial(self):
         outcome = run_cells(_mini_cells(), jobs=2)
         assert outcome.stats.mode == "serial"
         assert outcome.stats.jobs == 2  # requested, not used
@@ -149,24 +191,14 @@ class TestSerialFallback:
 
     def test_fallback_is_byte_identical_to_pool(self, monkeypatch):
         cells = _mini_cells()
-        monkeypatch.delenv("REPRO_SWEEP_MIN_CELLS", raising=False)
         fallback = run_cells(cells, jobs=2)
-        monkeypatch.setenv("REPRO_SWEEP_MIN_CELLS", "0")
+        _force_pool_on_tiny_grids(monkeypatch)
         pooled = run_cells(cells, jobs=2)
         assert fallback.stats.mode == "serial"
         assert pooled.stats.mode == "parallel"
         assert results_checksum(fallback.results) == results_checksum(pooled.results)
 
-    def test_env_override_controls_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_MIN_CELLS", raising=False)
-        assert parallel_threshold(4) == 64
-        monkeypatch.setenv("REPRO_SWEEP_MIN_CELLS", "3")
-        assert parallel_threshold(4) == 3
-        outcome = run_cells(_mini_cells(), jobs=2)  # 4 cells >= 3
-        assert outcome.stats.mode == "parallel"
-
-    def test_mode_lands_in_sweep_metrics(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_MIN_CELLS", raising=False)
+    def test_mode_lands_in_sweep_metrics(self):
         registry = MetricsRegistry()
         run_cells(_mini_cells(repeats=1), jobs=2, metrics=registry)
         counts = registry.get("sweep_runs_total").as_dict()
@@ -180,12 +212,12 @@ class TestPersistentPool:
     at 27 cells (parallel_speedup 0.92 in the committed bench): worker
     spawn plus a cold per-worker compile cache cost more than the
     grid. The pool is now module-global — reused, grown on demand,
-    pre-warmable before a timed section, and torn down explicitly.
+    warmed by a first parallel pass, and torn down explicitly.
     """
 
     @pytest.fixture(autouse=True)
     def _clean_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_MIN_CELLS", "0")
+        _force_pool_on_tiny_grids(monkeypatch)
         shutdown_pool()
         yield
         shutdown_pool()
@@ -210,17 +242,19 @@ class TestPersistentPool:
         assert shrunk_request.stats.workers == 2
 
     def test_warm_pool_prespawns_and_reports_workers(self):
+        # The first parallel pass spawns the pool that later passes
+        # reuse warm.
         assert sweep_module._POOL is None
-        assert warm_pool(2) == 2
+        assert run_cells(_mini_cells(repeats=1), jobs=2).stats.workers == 2
         assert sweep_module._POOL is not None
         assert sweep_module._POOL_WORKERS == 2
         # Serial resolutions never pay for a pool.
         shutdown_pool()
-        assert warm_pool(1) == 0
+        assert run_cells(_mini_cells(repeats=1), jobs=1).stats.workers == 1
         assert sweep_module._POOL is None
 
     def test_shutdown_is_idempotent(self):
-        warm_pool(2)
+        run_cells(_mini_cells(repeats=1), jobs=2)
         shutdown_pool()
         assert sweep_module._POOL is None
         shutdown_pool()
@@ -229,7 +263,7 @@ class TestPersistentPool:
     def test_pooled_results_identical_to_serial(self):
         cells = _mini_cells()
         serial = run_cells(cells, jobs=1)
-        warm_pool(2)
+        run_cells(cells, jobs=2)  # spawns the pool; the next pass reuses it
         pooled = run_cells(cells, jobs=2)
         assert pooled.stats.mode == "parallel"
         assert results_checksum(serial.results) == results_checksum(pooled.results)
@@ -255,19 +289,19 @@ def _fig3_to_5_grid(repeats=4):
     reason="parallel speedup needs at least 2 cores",
 )
 class TestParallelSpeedup:
-    def test_warm_pool_beats_serial_on_a_real_grid(self, monkeypatch):
+    def test_warm_pool_beats_serial_on_a_real_grid(self):
         # The regression the persistent pool exists to fix: with the
-        # pool pre-spawned and its workers' compile caches warm, a
+        # pool spawned and its workers' compile caches warm, a
         # parallel sweep of the paper's Fig. 3-5 grid must actually be
         # faster than running the same cells serially. (A 28-cell grid
         # was too small for the pool to win on two cores.)
-        monkeypatch.setenv("REPRO_SWEEP_MIN_CELLS", "0")
         cells = _fig3_to_5_grid()
         assert len(cells) == 240
         serial_start = time.perf_counter()
         serial = run_cells(cells, jobs=1)
         serial_wall = time.perf_counter() - serial_start
-        warm_pool(2)
+        # An untimed first parallel pass spawns and warms the pool.
+        run_cells(_fig3_to_5_grid(repeats=1), jobs=2)
         parallel_start = time.perf_counter()
         parallel = run_cells(cells, jobs=2)
         parallel_wall = time.perf_counter() - parallel_start
@@ -345,18 +379,22 @@ class TestCellPrimitives:
 
 
 class TestJobsResolution:
-    def test_explicit_and_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_JOBS", raising=False)
+    def test_explicit_and_auto(self):
         assert resolve_jobs(None) == 1
         assert resolve_jobs(3) == 3
         assert resolve_jobs("4") == 4
         assert resolve_jobs("auto") >= 1
         assert resolve_jobs(0) >= 1
 
-    def test_env_var_default(self, monkeypatch):
+    def test_environment_sets_neither_jobs_nor_threshold(self, monkeypatch):
+        # The executor reads no environment variable; these two once
+        # set the default worker count and the pool threshold.
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "2")
-        assert resolve_jobs(None) == 2
-        assert resolve_jobs(1) == 1  # explicit wins
+        monkeypatch.setenv("REPRO_SWEEP_MIN_CELLS", "0")
+        assert resolve_jobs(None) == 1
+        outcome = run_cells(_mini_cells(), jobs=2)
+        assert outcome.stats.cells_total == 4
+        assert outcome.stats.mode == "serial"
 
 
 class TestSweepMetrics:

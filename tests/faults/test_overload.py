@@ -186,7 +186,7 @@ class TestMetrics:
         clock.now = 4.0
         guard.update(25.0)
         clock.now = 8.0
-        snap = guard._brownout_snapshot()
+        snap = metrics.get("brownout_state").aggregates()
         assert snap["value"] == 2.0
         assert snap["min"] == 0.0
         assert snap["max"] == 2.0
@@ -195,11 +195,12 @@ class TestMetrics:
         assert snap["updates"] == 1
 
     def test_queue_depth_gauge_integrates_over_time(self):
-        clock, guard = _guard()
+        metrics = MetricsRegistry()
+        clock, guard = _guard(metrics=metrics)
         clock.now = 1.0
         guard.enqueued()
         clock.now = 3.0
-        snap = guard._queue_snapshot()
+        snap = metrics.get("admission_queue_depth").aggregates()
         assert snap["value"] == 1.0
         assert snap["max"] == 1.0
         # depth 0 for 1 s, depth 1 for 2 s -> mean 2/3

@@ -1,17 +1,18 @@
 """Recycled vs allocating defer-path differential.
 
 ``Simulator.defer`` recycles spent ``_Deferred`` records through a
-free list; ``Simulator(recycle=False)`` keeps the pre-recycling
-allocation path alive as the differential reference. Recycling is pure mechanism: for any schedule — including
-same-timestamp ties, re-entrant defers from inside a firing callback,
-failed events, and cancelled periodic timers — the two modes must
-execute the identical callback sequence at the identical times.
+free list; ``AllocatingSimulator`` below keeps the pre-recycling
+allocation path alive as the differential reference. Recycling is pure
+mechanism: for any schedule — including same-timestamp ties,
+re-entrant defers from inside a firing callback, failed events, and
+cancelled periodic timers — the two must execute the identical
+callback sequence at the identical times.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import _NO_ARG, Event, Simulator
 from tests.experiments.contract import scale_workload
 
 #: Delay palette biased toward 0.0 so schedules are dense with
@@ -22,9 +23,21 @@ _DELAYS = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 1.75])
 _OPS = st.tuples(_DELAYS, st.integers(0, 2), st.integers(0, 3))
 
 
-def _run_plan(plan, recycle):
+class AllocatingSimulator(Simulator):
+    """A simulator whose every ``defer`` allocates a fresh record.
+
+    Emptying the free list before each ``defer`` leaves the kernel's
+    own scheduling untouched, so only record reuse differs.
+    """
+
+    def defer(self, delay, fn, arg=_NO_ARG):
+        self._free.clear()
+        super().defer(delay, fn, arg)
+
+
+def _run_plan(plan, simulator=Simulator):
     """Execute a schedule drawn by hypothesis; return its trace."""
-    sim = Simulator(recycle=recycle)
+    sim = simulator()
     trace = []
 
     def chained(op_index, depth, delay, fan_out):
@@ -68,8 +81,8 @@ class TestRecycleDifferential:
     @settings(max_examples=60, deadline=None)
     @given(plan=st.lists(_OPS, min_size=1, max_size=24))
     def test_recycled_trace_matches_allocating_trace(self, plan):
-        recycled_trace, recycled_sim = _run_plan(plan, recycle=True)
-        reference_trace, reference_sim = _run_plan(plan, recycle=False)
+        recycled_trace, recycled_sim = _run_plan(plan)
+        reference_trace, reference_sim = _run_plan(plan, AllocatingSimulator)
         assert recycled_trace == reference_trace
         assert recycled_sim.now == reference_sim.now
         assert recycled_sim.events_processed == reference_sim.events_processed
@@ -77,7 +90,7 @@ class TestRecycleDifferential:
     @settings(max_examples=20, deadline=None)
     @given(plan=st.lists(_OPS, min_size=8, max_size=24))
     def test_reference_mode_never_reuses(self, plan):
-        _trace, sim = _run_plan(plan, recycle=False)
+        _trace, sim = _run_plan(plan, AllocatingSimulator)
         assert sim.deferred_reuses == 0
         assert sim.deferred_allocations > 0
 

@@ -192,6 +192,14 @@ class TestArgumentTypes:
             (["traffic", "--background", "-5"], "--background"),
             (["cohort", "--background", "-3"], "--background"),
             (["fleet", "--background", "-5"], "--background"),
+            # A zero count is a usage error, not a traceback or nan rows.
+            (["cohort", "--calls", "0"], "--calls"),
+            (["fleet", "--calls", "0"], "--calls"),
+            (["run", "digit.500", "--calls", "0"], "--calls"),
+            (["traffic", "--calls-max", "0"], "--calls-max"),
+            (["figure", "3", "--repeats", "0"], "--repeats"),
+            (["report", "--repeats", "0"], "--repeats"),
+            (["metrics", "--set-size", "0"], "--set-size"),
         ],
     )
     def test_bad_values_get_a_usage_error(self, capsys, argv, flag):
