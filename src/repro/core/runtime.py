@@ -114,24 +114,43 @@ class BackgroundLoad:
                 spin_round()
             return
         for index in range(n_processes):
-            runtime.platform.sim.spawn(self._worker(index))
+            self._start_worker(index)
 
-    def _worker(self, index: int):
+    def _start_worker(self, index: int) -> None:
+        """One duty-cycled worker: rounds of ``work_s`` in bursts of
+        ``slice_s * duty``, each burst followed by a stall of the rest
+        of the slice."""
         sim = self.runtime.platform.sim
         x86 = self.runtime.platform.x86.cpu
+        remaining = self.work_s
+
+        def run_burst() -> None:
+            burst = min(self.slice_s * self.duty, remaining)
+            x86.execute_job(burst, tag="background", on_complete=stall)
+
+        def stall(job) -> None:
+            nonlocal remaining
+            remaining -= job.work
+            sim.defer(self.slice_s * (1 - self.duty), next_burst)
+
+        def next_burst() -> None:
+            nonlocal remaining
+            if remaining <= 0 or self._stopped:
+                # The round ends (a stop ends it early) and the next
+                # one starts unless stopped.
+                self.completed_rounds += 1
+                if self._stopped:
+                    return
+                remaining = self.work_s
+            run_burst()
+
+        def first_burst() -> None:
+            if not self._stopped:
+                run_burst()
+
         # Stagger the stall phases so the pool's runnable count hovers
         # around n * duty instead of oscillating in lockstep.
-        yield sim.timeout((index % 16) * self.slice_s / 16 * (1 - self.duty))
-        while not self._stopped:
-            remaining = self.work_s
-            while remaining > 0 and not self._stopped:
-                burst = min(self.slice_s * self.duty, remaining)
-                yield x86.execute(burst, tag="background")
-                remaining -= burst
-                stall = self.slice_s * (1 - self.duty)
-                if stall > 0:
-                    yield sim.timeout(stall)
-            self.completed_rounds += 1
+        sim.defer((index % 16) * self.slice_s / 16 * (1 - self.duty), first_burst)
 
     def stop(self) -> None:
         """Let each worker finish its current slice, then exit."""

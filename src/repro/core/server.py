@@ -8,19 +8,21 @@ kernels, decides per Algorithm 2, and — when the decision calls for
 it — kicks off an FPGA reconfiguration in the background so the
 transfer/programming latency hides behind CPU execution.
 
-In the simulation the socket is a :class:`~repro.sim.Store` plus a
-round-trip latency; the request/decide/reply path consumes simulated
-time exactly like the real client/server pair.
+In the simulation the socket is a round-trip latency: each accepted
+request runs as its own callback chain (inbound hop, decide, reply
+hop), so the request/decide/reply path consumes simulated time exactly
+like the real client/server pair.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Optional
 
 from repro.core.policy import Decision, decide
 from repro.hardware.platform import HeterogeneousPlatform
 from repro.metrics import MetricsRegistry
-from repro.sim import Event, Store, Tracer
+from repro.sim import Event, Tracer
 from repro.thresholds import ThresholdTable
 from repro.types import Target
 from repro.xrt import XRTDevice
@@ -31,9 +33,6 @@ __all__ = ["RequestShed", "SchedulerServer", "SchedulerUnavailable", "ServerStat
 DEFAULT_SOCKET_LATENCY_S = 50e-6
 
 _TARGET_BY_NAME = {str(target): target for target in Target}
-
-#: Queue sentinel that tells a serve loop to exit (see :meth:`stop`).
-_STOP = object()
 
 
 class SchedulerUnavailable(RuntimeError):
@@ -221,10 +220,16 @@ class SchedulerServer:
             "scheduler_roundtrip_seconds",
             "client-observed request->reply latency (socket + queueing + decide)",
         )
-        self._requests: Store = Store(platform.sim)
+        #: Requests made after start() but before the daemon came online
+        #: (see :meth:`_online`), in arrival order.
+        self._pending: deque[tuple[str, Event]] = deque()
         self._running = False
-        #: Bumped on every start/stop so a stale serve loop can tell it
-        #: has been superseded and exit instead of stealing requests.
+        #: True once the daemon is online: requests go straight to
+        #: :meth:`_handle`.
+        self._accepting = False
+        #: Bumped on every start/stop so a deferred call from an older
+        #: daemon (its online step, a reconfiguration retry) can tell it
+        #: has been superseded.
         self._generation = 0
         #: Reply-latency multiplier (1.0 healthy; the fault injector
         #: raises it during server_slow windows).
@@ -248,37 +253,45 @@ class SchedulerServer:
         return self._running
 
     def start(self) -> None:
-        """Algorithm 2 lines 1-3: init kernel info, socket, load timer."""
+        """Algorithm 2 lines 1-3: init kernel info, socket, load timer.
+
+        The daemon comes online at the current instant, after the
+        events already queued for it; requests made before then wait
+        in arrival order.
+        """
         if self._running:
             return
         self._running = True
         self._generation += 1
-        self.platform.sim.spawn(self._serve(self._generation))
+        self.platform.sim.defer(0.0, self._online, self._generation)
+
+    def _online(self, generation: int) -> None:
+        if generation != self._generation:
+            return  # stopped (or stop/start-cycled) before coming online
+        self._accepting = True
+        pending = self._pending
+        while pending:
+            self._handle(*pending.popleft())
 
     def stop(self) -> None:
         """Take the daemon down (crash/outage model).
 
-        Queued-but-unserved requests fail immediately with
-        :class:`SchedulerUnavailable` (their clients fall back
-        locally); requests already being handled still get their reply.
-        New :meth:`request` calls raise until :meth:`start` runs again.
+        Requests made before the daemon came online fail immediately
+        with :class:`SchedulerUnavailable` (their clients fall back
+        locally). An accepted request still in its inbound socket hop
+        fails the same way if the daemon is still down when its decision
+        falls due, and counts no decision; one already decided, in its
+        reply hop, still gets its target. New :meth:`request` calls
+        raise until :meth:`start` runs again.
         """
         if not self._running:
             return
         self._running = False
-        stopped_generation = self._generation
+        self._accepting = False
         self._generation += 1
-        pending = [item for item in self._requests.items if item[0] is not _STOP]
-        self._requests.items.clear()
-        for _app_name, reply in pending:
-            self._fail_reply(reply)
-        # Wake the serve loop blocked on get() so it exits promptly. The
-        # sentinel is tagged with the generation it targets: a request
-        # handed to the parked getter just before this stop() gets
-        # re-queued *behind* the sentinel by the stale loop, so a
-        # restarted loop will see this sentinel first — it must discard
-        # it (and serve the request) rather than exit on it.
-        self._requests.put((_STOP, stopped_generation))
+        pending = self._pending
+        while pending:
+            self._fail_reply(pending.popleft()[1])
         self.tracer.record("scheduler", "server stopped")
 
     def _fail_reply(self, reply: Event) -> None:
@@ -286,42 +299,21 @@ class SchedulerServer:
         if not reply.triggered:
             reply.fail(SchedulerUnavailable("scheduler server stopped"))
 
-    def _serve(self, generation: int):
-        # Algorithm 2's main loop (lines 4-33): accept, then hand each
-        # request to its own handler. The daemon must never block the
-        # accept loop on one client's round-trip — with the old serial
-        # loop, M simultaneous clients saw M x the socket latency.
-        while True:
-            item = yield self._requests.get()
-            if item[0] is _STOP:
-                if item[1] >= generation:
-                    return
-                # A sentinel left over from an older stop/start cycle
-                # (its target loop consumed a re-queued request instead
-                # and exited on the generation check below). Exiting
-                # here would kill the *live* daemon; discard it.
-                continue
-            if generation != self._generation:
-                # Superseded (stop/start cycled): hand the item to the
-                # live loop instead of swallowing it.
-                self._requests.put(item)
-                return
-            app_name, reply = item
-            self._handle(app_name, reply)
-
     def _handle(self, app_name: str, reply: Event) -> None:
         """One request's handler: socket in, decide, socket out.
 
-        Runs as an independent callback chain per request, so
-        concurrent requests overlap their socket latencies instead of
-        queuing behind each other.
+        Algorithm 2's main loop (lines 4-33) accepts each request and
+        hands it to its own callback chain, so concurrent requests
+        overlap their socket latencies instead of queuing behind each
+        other (a serial loop would make M simultaneous clients see M x
+        the socket latency).
         """
         sim = self.platform.sim
         latency = self.socket_latency_s * self._reply_delay_factor
 
         def send_reply(decision: Decision) -> None:
             if not reply.triggered:
-                reply.succeed(decision.target)
+                reply.succeed_in_place(decision.target)
 
         def decide_and_reply() -> None:
             if not self._running:
@@ -388,7 +380,10 @@ class SchedulerServer:
                 self._roundtrip.observe(sim.now - enqueued_at)
 
         reply.callbacks.append(observe)
-        self._requests.offer((app_name, reply))
+        if self._accepting:
+            self._handle(app_name, reply)
+        else:
+            self._pending.append((app_name, reply))
         return reply
 
     def _overload_guard(self):
@@ -550,7 +545,7 @@ class SchedulerServer:
             # A retry armed before stop() must not fire into a stopped
             # (or stop/start-cycled) server: it would call
             # _maybe_reconfigure and touch XRT on behalf of a daemon
-            # generation that no longer exists. Same guard as _serve.
+            # generation that no longer exists. Same guard as _online.
             if not self._running or generation != self._generation:
                 return
             self._maybe_reconfigure(kernel_name)

@@ -61,7 +61,8 @@ class WaveLoad:
         self._quota = 0
         self._active = 0
         self._stopped = False
-        runtime.platform.sim.spawn(self._controller())
+        self._start = runtime.platform.sim.now
+        self._step()
 
     def target_at(self, t: float) -> int:
         """The triangle wave: low -> high -> low each period."""
@@ -69,21 +70,27 @@ class WaveLoad:
         tri = 2 * phase if phase < 0.5 else 2 * (1 - phase)
         return int(round(self.low + (self.high - self.low) * tri))
 
-    def _controller(self):
+    def _step(self) -> None:
+        """The controller: recompute the quota, start workers up to it,
+        and come back in ``step_s`` until the frame ends."""
         sim = self.runtime.platform.sim
-        start = sim.now
-        while not self._stopped and sim.now - start < self.duration_s:
-            self._quota = self.target_at(sim.now - start)
-            while self._active < self._quota:
-                self._active += 1
-                sim.spawn(self._worker(self._active))
-            yield sim.timeout(self.step_s)
-        self._quota = 0
+        if self._stopped or sim.now - self._start >= self.duration_s:
+            self._quota = 0
+            return
+        self._quota = self.target_at(sim.now - self._start)
+        while self._active < self._quota:
+            self._active += 1
+            self._round(self._active)
+        sim.defer(self.step_s, self._step)
 
-    def _worker(self, index: int):
-        x86 = self.runtime.platform.x86.cpu
-        while not self._stopped and index <= self._quota:
-            yield x86.execute(self.work_s, tag="wave-background")
+    def _round(self, index: int) -> None:
+        """One worker's next MG-B round, unless it is above the quota."""
+        if not self._stopped and index <= self._quota:
+            self.runtime.platform.x86.cpu.execute_job(
+                self.work_s,
+                tag="wave-background",
+                on_complete=lambda _job: self._round(index),
+            )
 
     def stop(self) -> None:
         self._stopped = True

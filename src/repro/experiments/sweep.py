@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import atexit
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -592,11 +593,21 @@ def run_cells(
         workers = pool_workers
         mode = "parallel"
         chunk = max(1, math.ceil(len(pending) / (workers * 4)))
+        forks = _POOL is None or _POOL_WORKERS < workers
         pool = _pool_for(workers)
+        if forks:
+            # A new pool forks its workers at the first submit. With the
+            # parent's heap frozen, their collections leave its objects
+            # alone instead of copying every page they touch.
+            gc.freeze()
         try:
-            fresh = pool.map(
-                run_cell, [cells[i] for i in pending], chunksize=chunk
-            )
+            try:
+                fresh = pool.map(
+                    run_cell, [cells[i] for i in pending], chunksize=chunk
+                )
+            finally:
+                if forks:
+                    gc.unfreeze()
             for index, result in zip(pending, fresh):
                 results[index] = result
         except BrokenProcessPool:

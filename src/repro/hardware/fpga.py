@@ -13,10 +13,11 @@ into XCLBINs under the device's area budget.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
-from repro.sim import Event, Resource, SimulationError, Simulator, Tracer
+from repro.sim import Event, SimulationError, Simulator, Tracer
 
 __all__ = [
     "FPGAResources",
@@ -123,6 +124,35 @@ class ConfigImage(Protocol):
     def kernel_names(self) -> tuple[str, ...]: ...  # pragma: no cover
 
 
+class _ComputeUnits:
+    """One kernel's compute units, granted FIFO.
+
+    A grant hands over no simulated time, so it runs the waiting
+    invocation's continuation in place: at once when a unit is free,
+    otherwise when :meth:`release` frees one.
+    """
+
+    __slots__ = ("capacity", "free", "waiting")
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.free = capacity
+        self.waiting: deque[Callable[[], None]] = deque()
+
+    def acquire(self, run: Callable[[], None]) -> None:
+        if self.free:
+            self.free -= 1
+            run()
+        else:
+            self.waiting.append(run)
+
+    def release(self) -> None:
+        if self.waiting:
+            self.waiting.popleft()()
+        else:
+            self.free += 1
+
+
 class FPGADevice:
     """A reconfigurable accelerator card attached over PCIe."""
 
@@ -136,7 +166,7 @@ class FPGADevice:
         self._avail_kernels: tuple[str, ...] = ()
         self._reconfiguring = False
         self._reconfig_done: Optional[Event] = None
-        self._compute_units: dict[str, Resource] = {}
+        self._compute_units: dict[str, _ComputeUnits] = {}
         self.reconfiguration_count = 0
         self.failed_reconfigurations = 0
         #: Accumulated kernel-occupancy seconds (for energy accounting).
@@ -288,7 +318,9 @@ class FPGADevice:
             return done
 
         busy_cus = [
-            name for name, cu in self._compute_units.items() if cu.count > 0
+            name
+            for name, cu in self._compute_units.items()
+            if cu.free < cu.capacity
         ]
         if busy_cus:
             raise SimulationError(
@@ -338,7 +370,7 @@ class FPGADevice:
             # Section 7); default is one CU per kernel.
             cu_of = getattr(image, "compute_units", lambda _name: 1)
             self._compute_units = {
-                name: Resource(self.sim, capacity=max(1, cu_of(name)))
+                name: _ComputeUnits(max(1, cu_of(name)))
                 for name in image.kernel_names
             }
             self.tracer.record(
@@ -368,7 +400,6 @@ class FPGADevice:
         cu = self._compute_units[kernel_name]
         sim = self.sim
         done = sim.event()
-        req = cu.request()
         self._exec_ids += 1
         token = self._exec_ids
         self._inflight_execs[token] = done
@@ -377,7 +408,7 @@ class FPGADevice:
             self._inflight_execs.pop(token, None)
             if done.triggered:
                 return  # aborted by a device crash mid-run
-            cu.release(req)
+            cu.release()
             self.busy_seconds += duration
             self.tracer.record(
                 "fpga",
@@ -385,18 +416,16 @@ class FPGADevice:
                 kernel=kernel_name,
                 duration=duration,
             )
-            done.succeed(kernel_name)
+            done.succeed_in_place(kernel_name)
 
-        # Callback chain instead of a generator process: grant -> hold
-        # the CU for ``duration`` -> release and report. Same FIFO
-        # semantics, a fraction of the event traffic.
-        req.callbacks.append(lambda _ev: sim.defer(duration, finish))
+        # Grant -> hold the CU for ``duration`` -> release and report.
+        cu.acquire(lambda: sim.defer(duration, finish))
         return done
 
     def queue_length(self, kernel_name: str) -> int:
         """Waiting invocations for ``kernel_name`` (excluding the running one)."""
         cu = self._compute_units.get(kernel_name)
-        return cu.queue_length if cu is not None else 0
+        return len(cu.waiting) if cu is not None else 0
 
     def __repr__(self) -> str:
         image = self._image.name if self._image else None

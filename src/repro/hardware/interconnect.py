@@ -93,7 +93,7 @@ class Link:
 
         def after_bandwidth(_job) -> None:
             # Propagation latency applies once the pipe has drained.
-            sim.defer(latency, done.succeed, nbytes)
+            sim.defer(latency, done.succeed_in_place, nbytes)
 
         self._server.submit(float(nbytes), tag=tag, on_complete=after_bandwidth)
         if self.tracer.enabled:

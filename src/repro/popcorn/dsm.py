@@ -340,25 +340,30 @@ class DSM:
             done.succeed(page)
             return done
 
-        def protocol():
-            # Request to the directory/owner, then the page payload back.
-            self.stats.control_messages += 1
-            self.stats.bytes_transferred += CONTROL_MESSAGE_BYTES
-            yield self.link.transfer(CONTROL_MESSAGE_BYTES, tag=("dsm-req", node, page))
+        # Request to the directory/owner, then the page payload back.
+        def fetch(_ev: Event) -> None:
             owner = entry.owner()
             if owner is not None:
                 entry.states[owner] = PageState.SHARED  # writeback/downgrade
             self.stats.page_transfers += 1
             self.stats.bytes_transferred += self.page_size
-            yield self.link.transfer(self.page_size, tag=("dsm-page", node, page))
+            self.link.transfer(
+                self.page_size, tag=("dsm-page", node, page)
+            ).callbacks.append(fetched)
+
+        def fetched(_ev: Event) -> None:
             entry.states[node] = PageState.SHARED
             if self.tracer.enabled:
                 self.tracer.record(
                     "dsm", f"{node}: read-fetch page {page:#x}", node=node, page=page
                 )
-            done.succeed(page)
+            done.succeed_in_place(page)
 
-        self.sim.spawn(protocol())
+        self.stats.control_messages += 1
+        self.stats.bytes_transferred += CONTROL_MESSAGE_BYTES
+        self.link.transfer(
+            CONTROL_MESSAGE_BYTES, tag=("dsm-req", node, page)
+        ).callbacks.append(fetch)
         return done
 
     def write(self, node: str, addr: int) -> Event:
@@ -394,24 +399,7 @@ class DSM:
 
         need_payload = state == PageState.INVALID
 
-        def protocol():
-            # Invalidations to all other holders, in parallel.
-            invalidation_acks = []
-            for other in others:
-                self.stats.invalidations += 1
-                self.stats.control_messages += 2  # invalidate + ack
-                self.stats.bytes_transferred += 2 * CONTROL_MESSAGE_BYTES
-                invalidation_acks.append(
-                    self.link.transfer(
-                        2 * CONTROL_MESSAGE_BYTES, tag=("dsm-inv", other, page)
-                    )
-                )
-            if invalidation_acks:
-                yield self.sim.all_of(invalidation_acks)
-            if need_payload:
-                self.stats.page_transfers += 1
-                self.stats.bytes_transferred += self.page_size
-                yield self.link.transfer(self.page_size, tag=("dsm-page", node, page))
+        def owned(_ev: Optional[Event] = None) -> None:
             for other in others:
                 entry.states[other] = PageState.INVALID
             entry.states[node] = PageState.MODIFIED
@@ -419,9 +407,35 @@ class DSM:
                 self.tracer.record(
                     "dsm", f"{node}: write-own page {page:#x}", node=node, page=page
                 )
-            done.succeed(page)
+            done.succeed_in_place(page)
 
-        self.sim.spawn(protocol())
+        def invalidated() -> None:
+            if need_payload:
+                self.stats.page_transfers += 1
+                self.stats.bytes_transferred += self.page_size
+                self.link.transfer(
+                    self.page_size, tag=("dsm-page", node, page)
+                ).callbacks.append(owned)
+            else:
+                owned()
+
+        # Every other holder is invalidated, in parallel (a write that
+        # gets here always has one); the last ack moves the protocol on.
+        acks_left = len(others)
+
+        def acked(_ev: Event) -> None:
+            nonlocal acks_left
+            acks_left -= 1
+            if not acks_left:
+                invalidated()
+
+        for other in others:
+            self.stats.invalidations += 1
+            self.stats.control_messages += 2  # invalidate + ack
+            self.stats.bytes_transferred += 2 * CONTROL_MESSAGE_BYTES
+            self.link.transfer(
+                2 * CONTROL_MESSAGE_BYTES, tag=("dsm-inv", other, page)
+            ).callbacks.append(acked)
         return done
 
     def seed_pages(self, node: str, addrs: Sequence[int]) -> None:
@@ -550,7 +564,7 @@ class DSM:
         all payload pages, then the directory update."""
         done = self.sim.event()
 
-        def finish() -> None:
+        def finish(trigger) -> None:
             apply_states()
             if self.tracer.enabled:
                 self.tracer.record(
@@ -561,14 +575,16 @@ class DSM:
                     dst=dst,
                     pages=n_claim,
                 )
-            done.succeed(n_pages)
+            trigger(n_pages)
 
         if n_transfer:
             nbytes = n_transfer * self.page_size
             self.stats.page_transfers += n_transfer
             self.stats.bytes_transferred += nbytes
             transfer = self.link.transfer(nbytes, tag=("dsm-migrate", dst, n_transfer))
-            transfer.callbacks.append(lambda _ev: finish())
+            transfer.callbacks.append(lambda _ev: finish(done.succeed_in_place))
         else:
-            finish()
+            # Nothing on the wire: the caller attaches its waiter after
+            # this returns, so the completion goes through the queue.
+            finish(done.succeed)
         return done

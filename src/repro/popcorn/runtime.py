@@ -168,7 +168,7 @@ class PopcornRuntime:
                     dest=str(dest_node),
                     state_bytes=state_bytes,
                 )
-            done.succeed(thread)
+            done.succeed_in_place(thread)
 
         def after_pages(_ev: Event) -> None:
             thread.dirty_addresses.clear()

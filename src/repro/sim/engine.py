@@ -1,22 +1,25 @@
 """Deterministic discrete-event simulation kernel.
 
-The engine is a small, dependency-free event loop in the spirit of SimPy:
-a :class:`Simulator` owns a priority queue of timestamped events, and
-generator-based processes (see :mod:`repro.sim.process`) advance by
-yielding events. Determinism is guaranteed by breaking timestamp ties
-with a monotonically increasing sequence number, so two simulations with
-the same seed replay identically.
+The engine is a small, dependency-free event loop: a :class:`Simulator`
+owns a priority queue of timestamped events, and the models advance as
+callback chains. A phase that takes simulated time schedules its
+continuation (:meth:`Simulator.defer`), and a waiter attaches a callback
+to an :class:`Event`. An event costs a queue entry only where simulated
+time passes or a waiter really queues; the hand-off from one finished
+phase to the next runs its callbacks in place
+(:meth:`Event.succeed_in_place`). Determinism is guaranteed by breaking
+timestamp ties with a monotonically increasing sequence number, so two
+simulations with the same seed replay identically.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "Event",
-    "Interrupt",
     "PeriodicCall",
     "SimulationError",
     "Simulator",
@@ -27,24 +30,12 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. re-triggering)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that is interrupted while waiting.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
     An event starts *pending*, becomes *triggered* once :meth:`succeed`
     or :meth:`fail` is called, and is *processed* after the simulator has
-    run its callbacks. Processes wait on events by yielding them.
+    run its callbacks. Waiters append a callback to :attr:`callbacks`.
     """
 
     PENDING = "pending"
@@ -59,8 +50,8 @@ class Event:
         self._state = Event.PENDING
         self._value: Any = None
         self._ok = True
-        #: A failed event whose exception was consumed (e.g. by a waiting
-        #: process or an AnyOf) is "defused" and will not crash the run.
+        #: A failed event whose exception a waiter consumes is "defused"
+        #: and will not crash the run.
         self.defused = False
 
     # -- state inspection -------------------------------------------------
@@ -101,6 +92,29 @@ class Event:
         heapq.heappush(sim._queue, (sim.now, next(sim._seq), self))
         return self
 
+    def succeed_in_place(self, value: Any = None) -> None:
+        """Trigger the event successfully and run its callbacks now.
+
+        The hand-off between two phases when no simulated time passes
+        between them: a queued :meth:`succeed` would cost an engine
+        event only to run the same callbacks at the same instant, after
+        whatever else is queued for it. Only a callback that is itself
+        running at this instant may call it, and only as its last act.
+        A waiter must already be attached, so a path that finishes
+        inside the call that created the event (before its caller can
+        attach) uses :meth:`succeed` instead.
+        """
+        if self._state != Event.PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self._state = Event.PROCESSED
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for callback in callbacks:
+                callback(self)
+
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception."""
         if not isinstance(exc, BaseException):
@@ -130,28 +144,12 @@ class Event:
         return f"<{type(self).__name__} {self._state} at {id(self):#x}>"
 
 
-class _Timeout(Event):
-    """An event that triggers itself after a fixed delay."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self._ok = True
-        self._value = value
-        self._state = Event.TRIGGERED
-        sim._enqueue(sim.now + delay, self)
-
-
 class _Call(Event):
     """A pre-triggered event that invokes ``fn`` when processed.
 
     The cheap backbone of :meth:`Simulator.call_in` /
-    :meth:`Simulator.call_at` and of process resumption: one heap entry
-    and one attribute instead of an extra event plus a closure appended
-    to its callback list.
+    :meth:`Simulator.call_at`: one heap entry and one attribute instead
+    of an extra event plus a closure appended to its callback list.
     """
 
     __slots__ = ("_fn",)
@@ -271,7 +269,6 @@ class Simulator:
         "now",
         "_queue",
         "_seq",
-        "_active_process",
         "events_processed",
         "_free",
         "deferred_allocations",
@@ -284,7 +281,6 @@ class Simulator:
         #: timestamp ties in scheduling order.
         self._queue: list = []
         self._seq = itertools.count()
-        self._active_process = None  # set by Process while running
         #: Events processed so far; the wall-clock bench harness divides
         #: this by elapsed real time to report events/sec.
         self.events_processed: int = 0
@@ -302,10 +298,6 @@ class Simulator:
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that fires ``delay`` simulated seconds from now."""
-        return _Timeout(self, delay, value)
 
     def call_at(self, when: float, fn: Callable[[], Any]) -> Event:
         """Run ``fn`` at absolute simulated time ``when``."""
@@ -353,22 +345,6 @@ class Simulator:
         ``first_at``, default ``now + interval``) until the returned
         :class:`PeriodicCall` is cancelled."""
         return PeriodicCall(self, interval, fn, first_at=first_at)
-
-    def spawn(self, generator) -> "Process":
-        """Start a new process from a generator (see :mod:`.process`)."""
-        from repro.sim.process import Process
-
-        return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.process import AllOf
-
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.process import AnyOf
-
-        return AnyOf(self, list(events))
 
     # -- execution -----------------------------------------------------------
     def peek(self) -> Optional[float]:

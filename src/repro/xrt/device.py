@@ -307,7 +307,7 @@ class XRTDevice:
                     kernel=kernel_name,
                     duration=run.duration,
                 )
-            done.succeed(run)
+            done.succeed_in_place(run)
 
         def after_execute(ev: Event) -> None:
             if not ev.ok:

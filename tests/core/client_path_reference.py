@@ -22,6 +22,7 @@ from repro.core.server import RequestShed, SchedulerUnavailable
 from repro.sim import Event, SimulationError
 from repro.types import Target
 from repro.xrt import XRTError
+from tests.core.process_reference import any_of, spawn, timeout
 
 
 class GeneratorRun(ApplicationRun):
@@ -29,7 +30,7 @@ class GeneratorRun(ApplicationRun):
 
     def start(self) -> Event:
         self._resilience_policy = getattr(self.runtime, "resilience", None)
-        return self.runtime.platform.sim.spawn(self._body())
+        return spawn(self.runtime.platform.sim, self._body())
 
     # -- the instrumented main() -------------------------------------------------
     def _body(self):
@@ -144,7 +145,7 @@ class GeneratorRun(ApplicationRun):
         # stop during an outage window) must then not crash the run.
         reply.defused = True
         try:
-            yield sim.any_of([reply, sim.timeout(timeout_s)])
+            yield any_of(sim, [reply, timeout(sim, timeout_s)])
         except SchedulerUnavailable:
             # The daemon went down with our request queued.
             self._count_fallback("scheduler_down")
@@ -230,8 +231,8 @@ class GeneratorRun(ApplicationRun):
                     ):
                         self.record.retries += 1
                         resilience.count_retry(kernel)
-                        yield self.runtime.platform.sim.timeout(
-                            config.backoff_s(attempt)
+                        yield timeout(
+                            self.runtime.platform.sim, config.backoff_s(attempt)
                         )
                         attempt += 1
                         # The device may have crashed or been

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.cohort import _FPGA, _RULE_INDEX, _X86, CohortPopulation
 from repro.core.policy import decide
+from tests.core.process_reference import spawn, timeout
 
 
 class ReferencePopulation(CohortPopulation):
@@ -36,8 +37,9 @@ class ReferencePopulation(CohortPopulation):
 
     def _start(self, sim, cohort, result, target_tally, rule_tally):
         for client in range(cohort.n):
-            sim.spawn(
-                self._client(sim, cohort, client, result, target_tally, rule_tally)
+            spawn(
+                sim,
+                self._client(sim, cohort, client, result, target_tally, rule_tally),
             )
 
     def _client(self, sim, cohort, client, result, target_tally, rule_tally):
@@ -47,10 +49,10 @@ class ReferencePopulation(CohortPopulation):
         the vectorized path's array arithmetic, so the two paths agree
         bit for bit, not approximately.
         """
-        yield sim.timeout(float(cohort.arrivals[client]))
-        yield sim.timeout(cohort.host_s)
+        yield timeout(sim, float(cohort.arrivals[client]))
+        yield timeout(sim, cohort.host_s)
         for call in range(cohort.calls):
-            yield sim.timeout(cohort.call_host_s)
+            yield timeout(sim, cohort.call_host_s)
             load = self.load_at(sim.now)
             decision = decide(load, cohort.entry, cohort.available)
             target = int(decision.target)
@@ -66,5 +68,5 @@ class ReferencePopulation(CohortPopulation):
                 delay = float(cohort.rts[target])
                 served = int(cohort.served_map[target])
             result.served[client, call] = served
-            yield sim.timeout(delay)
+            yield timeout(sim, delay)
         result.completions[client] = sim.now

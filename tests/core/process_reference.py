@@ -1,18 +1,83 @@
-"""Generator-based simulation processes and event combinators.
+"""Generator processes and event combinators: the test-side reference.
 
-A process is an ordinary Python generator that yields
-:class:`~repro.sim.engine.Event` objects; the process resumes when the
-yielded event triggers, receiving the event's value at the yield point
-(or the event's exception thrown in, if it failed).
+The models in ``src/`` are callback chains. The generator client
+lifecycle (``client_path_reference.GeneratorRun``), the per-client
+cohort model (``cohort_reference.ReferencePopulation``), the page-by-page
+DSM protocol and the engine tests still write their reference logic as
+processes, so the process machinery lives here:
+
+* :func:`spawn` starts a :class:`Process` from a generator. The process
+  yields :class:`~repro.sim.Event` objects and resumes when the yielded
+  event is processed, receiving its value at the yield point (or its
+  exception thrown in, if it failed).
+* :func:`timeout` is an event that fires after a fixed delay.
+* :func:`all_of` / :func:`any_of` combine events (:class:`AllOf`,
+  :class:`AnyOf`).
+* :meth:`Process.interrupt` throws :class:`Interrupt` into a waiting
+  process.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Iterable
 
-from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator
 
-__all__ = ["Process", "AllOf", "AnyOf"]
+__all__ = [
+    "AllOf",
+    "AnyOf",
+    "Interrupt",
+    "Process",
+    "all_of",
+    "any_of",
+    "spawn",
+    "timeout",
+]
+
+
+class Interrupt(Exception):
+    """Thrown into a process that is interrupted while waiting.
+
+    The ``cause`` attribute carries the value passed to
+    :meth:`Process.interrupt`.
+    """
+
+    def __init__(self, cause: Any = None):
+        super().__init__(cause)
+        self.cause = cause
+
+
+class _Timeout(Event):
+    """An event that triggers itself after a fixed delay."""
+
+    __slots__ = ()
+
+    def __init__(self, sim: Simulator, delay: float, value: Any = None):
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        super().__init__(sim)
+        self._ok = True
+        self._value = value
+        self._state = Event.TRIGGERED
+        sim._enqueue(sim.now + delay, self)
+
+
+def timeout(sim: Simulator, delay: float, value: Any = None) -> Event:
+    """An event that fires ``delay`` simulated seconds from now."""
+    return _Timeout(sim, delay, value)
+
+
+def spawn(sim: Simulator, generator) -> "Process":
+    """Start a new process from a generator."""
+    return Process(sim, generator)
+
+
+def all_of(sim: Simulator, events: Iterable[Event]) -> Event:
+    return AllOf(sim, list(events))
+
+
+def any_of(sim: Simulator, events: Iterable[Event]) -> Event:
+    return AnyOf(sim, list(events))
 
 
 class Process(Event):
@@ -73,7 +138,6 @@ class Process(Event):
             # A stale callback after the process already finished
             # (e.g. interrupted right as its event fired).
             return
-        prev, self.sim._active_process = self.sim._active_process, self
         try:
             if as_exception:
                 target = self.generator.throw(value)
@@ -85,8 +149,6 @@ class Process(Event):
         except BaseException as exc:
             self.fail(exc)
             return
-        finally:
-            self.sim._active_process = prev
 
         if not isinstance(target, Event):
             exc = SimulationError(f"process yielded a non-event: {target!r}")

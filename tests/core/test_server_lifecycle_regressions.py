@@ -11,9 +11,11 @@ Each class pins one fixed bug:
   — the budget now also resets when the device breaker closes;
 * a stop() racing a request already handed to the parked serve loop
   left a stale ``_STOP`` sentinel in the queue, and the *restarted*
-  loop exited on it — sentinels are now generation-tagged, and queued
-  requests failed by stop() neither leak reply events nor double-count
-  :class:`ServerStats` decisions across the cycle.
+  loop exited on it. The accept loop is gone since (a request goes
+  straight to its handler once the daemon is online); the tests still
+  pin that such a request is served once by the restarted daemon, and
+  that requests failed by stop() neither leak reply events nor
+  double-count :class:`ServerStats` decisions across the cycle.
 """
 
 import pytest
@@ -125,6 +127,28 @@ class TestStopStartRequestAccounting:
         assert runtime.server.stats.by_target == {}
         assert runtime.server.stats.by_rule == {}
 
+    def test_stop_fails_undecided_requests_and_delivers_decided_ones(self, runtime):
+        # Two requests already past the accept step when the daemon
+        # stops: one still in its inbound socket hop (its decision
+        # falls after stop()), one already decided and in its reply
+        # hop. The first fails at decide time and counts no decision;
+        # the second still gets its target.
+        sim = runtime.platform.sim
+        hop = runtime.server.socket_latency_s
+        sim.run()  # the daemon is up and idle
+        decided = runtime.server.request("digit.2000")
+        sim.run(until=sim.now + hop / 2)
+        undecided = runtime.server.request("digit.2000")
+        sim.run(until=sim.now + 3 * hop / 4)  # between the two decisions
+        assert runtime.server.stats.requests == 1
+        runtime.server.stop()
+        sim.run()
+        assert decided.ok and decided.value in set(Target)
+        assert undecided.triggered and not undecided.ok
+        assert isinstance(undecided.value, SchedulerUnavailable)
+        assert runtime.server.stats.requests == 1
+        assert sum(runtime.server.stats.by_target.values()) == 1
+
     def test_restart_serves_fresh_requests_exactly_once(self, runtime):
         sim = runtime.platform.sim
         runtime.server.start()
@@ -137,7 +161,7 @@ class TestStopStartRequestAccounting:
         assert not dead.ok
         assert runtime.server.stats.requests == 1
         assert sum(runtime.server.stats.by_target.values()) == 1
-        assert not runtime.server._requests.items  # nothing leaked
+        assert not runtime.server._pending  # nothing leaked
 
     def test_restart_survives_a_stop_racing_an_in_flight_request(self, runtime):
         # The nasty interleaving: the serve loop is parked on get(), a

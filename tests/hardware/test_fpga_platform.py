@@ -104,6 +104,27 @@ class TestFPGADevice:
         sim.run_until_event(done[-1])
         assert sim.now - start == pytest.approx(3.0)
 
+    def test_compute_unit_grants_in_arrival_order(self):
+        sim = Simulator()
+        device = FPGADevice(sim, ALVEO_U50)
+        sim.run_until_event(device.configure(FakeImage()))
+        start = sim.now
+        finished = []
+        for duration in (2.0, 1.0, 0.5):
+            device.execute("k1", duration).callbacks.append(
+                lambda ev, d=duration: finished.append((d, sim.now - start))
+            )
+        assert device.queue_length("k1") == 2  # the first one holds the unit
+        sim.run()
+        assert finished == [
+            (2.0, pytest.approx(2.0)),
+            (1.0, pytest.approx(3.0)),
+            (0.5, pytest.approx(3.5)),
+        ]
+        assert device.queue_length("k1") == 0
+        # Free again: the image can be swapped.
+        sim.run_until_event(device.configure(FakeImage("b")))
+
     def test_different_kernels_run_concurrently(self):
         sim = Simulator()
         device = FPGADevice(sim, ALVEO_U50)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hardware import DevicePower, EnergyMeter, PowerModel, paper_testbed
 from repro.types import Target
+from tests.core.process_reference import timeout
 
 
 class TestPowerModel:
@@ -34,7 +35,7 @@ class TestEnergyMeter:
     def test_idle_platform_consumes_idle_power_only(self):
         platform = paper_testbed()
         meter = EnergyMeter(platform)
-        platform.sim.timeout(10.0)
+        timeout(platform.sim, 10.0)
         platform.run()
         report = meter.report()
         model = meter.model

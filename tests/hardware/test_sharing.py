@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.runtime import BackgroundLoad
 from repro.hardware.sharing import FairShareServer, _completion_tolerance
 from repro.sim import SimulationError, Simulator
+from tests.core.process_reference import timeout
 
 
 def make_server(capacity=6.0, job_cap=1.0):
@@ -247,7 +248,7 @@ def test_no_zeno_loop_with_extreme_rates():
     sim = Simulator()
     srv = FairShareServer(sim, "pcie", capacity=32e9, job_cap=None)
     # Advance the clock far enough that ulp(now) * rate >> work dust.
-    sim.timeout(1e5)
+    timeout(sim, 1e5)
     sim.run()
     job = srv.submit(4096.0)
     other = srv.submit(1e9)

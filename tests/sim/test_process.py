@@ -2,18 +2,27 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
+from tests.core.process_reference import (
+    AllOf,
+    AnyOf,
+    Interrupt,
+    all_of,
+    any_of,
+    spawn,
+    timeout,
+)
 
 
 def test_process_runs_and_returns_value():
     sim = Simulator()
 
     def worker():
-        yield sim.timeout(1.0)
-        yield sim.timeout(2.0)
+        yield timeout(sim, 1.0)
+        yield timeout(sim, 2.0)
         return "result"
 
-    proc = sim.spawn(worker())
+    proc = spawn(sim, worker())
     sim.run()
     assert proc.processed
     assert proc.value == "result"
@@ -25,10 +34,10 @@ def test_process_receives_event_values():
     seen = []
 
     def worker():
-        value = yield sim.timeout(1.0, value="hello")
+        value = yield timeout(sim, 1.0, value="hello")
         seen.append(value)
 
-    sim.spawn(worker())
+    spawn(sim, worker())
     sim.run()
     assert seen == ["hello"]
 
@@ -38,14 +47,14 @@ def test_waiting_on_process_gets_return_value():
     out = []
 
     def child():
-        yield sim.timeout(1.0)
+        yield timeout(sim, 1.0)
         return 42
 
     def parent():
-        value = yield sim.spawn(child())
+        value = yield spawn(sim, child())
         out.append((sim.now, value))
 
-    sim.spawn(parent())
+    spawn(sim, parent())
     sim.run()
     assert out == [(1.0, 42)]
 
@@ -55,17 +64,17 @@ def test_waiting_on_already_finished_process():
     out = []
 
     def child():
-        yield sim.timeout(1.0)
+        yield timeout(sim, 1.0)
         return "early"
 
-    child_proc = sim.spawn(child())
+    child_proc = spawn(sim, child())
 
     def parent():
-        yield sim.timeout(5.0)
+        yield timeout(sim, 5.0)
         value = yield child_proc  # already processed
         out.append((sim.now, value))
 
-    sim.spawn(parent())
+    spawn(sim, parent())
     sim.run()
     assert out == [(5.0, "early")]
 
@@ -74,10 +83,10 @@ def test_exception_in_process_fails_its_event():
     sim = Simulator()
 
     def worker():
-        yield sim.timeout(1.0)
+        yield timeout(sim, 1.0)
         raise RuntimeError("worker died")
 
-    proc = sim.spawn(worker())
+    proc = spawn(sim, worker())
     proc.defused = True
     sim.run()
     assert not proc.ok
@@ -89,16 +98,16 @@ def test_failure_propagates_to_waiter():
     caught = []
 
     def child():
-        yield sim.timeout(1.0)
+        yield timeout(sim, 1.0)
         raise ValueError("child failed")
 
     def parent():
         try:
-            yield sim.spawn(child())
+            yield spawn(sim, child())
         except ValueError as exc:
             caught.append(str(exc))
 
-    sim.spawn(parent())
+    spawn(sim, parent())
     sim.run()
     assert caught == ["child failed"]
 
@@ -107,13 +116,13 @@ def test_unhandled_child_failure_crashes_run():
     sim = Simulator()
 
     def child():
-        yield sim.timeout(1.0)
+        yield timeout(sim, 1.0)
         raise ValueError("unhandled")
 
     def parent():
-        yield sim.spawn(child())
+        yield spawn(sim, child())
 
-    parent_proc = sim.spawn(parent())
+    parent_proc = spawn(sim, parent())
     parent_proc.defused = True
     sim.run()
     assert not parent_proc.ok
@@ -125,7 +134,7 @@ def test_yielding_non_event_is_an_error():
     def worker():
         yield 12345
 
-    proc = sim.spawn(worker())
+    proc = spawn(sim, worker())
     proc.defused = True
     sim.run()
     assert not proc.ok
@@ -135,7 +144,7 @@ def test_yielding_non_event_is_an_error():
 def test_spawn_requires_generator():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.spawn(lambda: None)
+        spawn(sim, lambda: None)
 
 
 class TestInterrupt:
@@ -145,11 +154,11 @@ class TestInterrupt:
 
         def worker():
             try:
-                yield sim.timeout(100.0)
+                yield timeout(sim, 100.0)
             except Interrupt as intr:
                 caught.append((sim.now, intr.cause))
 
-        proc = sim.spawn(worker())
+        proc = spawn(sim, worker())
         sim.call_in(2.0, lambda: proc.interrupt("preempted"))
         sim.run()
         assert caught == [(2.0, "preempted")]
@@ -160,14 +169,14 @@ class TestInterrupt:
 
         def worker():
             try:
-                yield sim.timeout(100.0)
+                yield timeout(sim, 100.0)
             except Interrupt:
                 pass
-            yield sim.timeout(1.0)
+            yield timeout(sim, 1.0)
             finished_at.append(sim.now)
             return "recovered"
 
-        proc = sim.spawn(worker())
+        proc = spawn(sim, worker())
         sim.call_in(2.0, lambda: proc.interrupt())
         sim.run()
         assert proc.value == "recovered"
@@ -179,9 +188,9 @@ class TestInterrupt:
         sim = Simulator()
 
         def worker():
-            yield sim.timeout(1.0)
+            yield timeout(sim, 1.0)
 
-        proc = sim.spawn(worker())
+        proc = spawn(sim, worker())
         sim.run()
         with pytest.raises(SimulationError):
             proc.interrupt()
@@ -193,10 +202,10 @@ class TestCombinators:
         times = []
 
         def worker():
-            yield sim.all_of([sim.timeout(1.0), sim.timeout(3.0), sim.timeout(2.0)])
+            yield all_of(sim, [timeout(sim, 1.0), timeout(sim, 3.0), timeout(sim, 2.0)])
             times.append(sim.now)
 
-        sim.spawn(worker())
+        spawn(sim, worker())
         sim.run()
         assert times == [3.0]
 
@@ -205,10 +214,10 @@ class TestCombinators:
         times = []
 
         def worker():
-            yield sim.any_of([sim.timeout(5.0), sim.timeout(1.0)])
+            yield any_of(sim, [timeout(sim, 5.0), timeout(sim, 1.0)])
             times.append(sim.now)
 
-        sim.spawn(worker())
+        spawn(sim, worker())
         sim.run()
         assert times == [1.0]
 
@@ -217,12 +226,12 @@ class TestCombinators:
         got = {}
 
         def worker():
-            a = sim.timeout(1.0, value="a")
-            b = sim.timeout(2.0, value="b")
-            result = yield sim.all_of([a, b])
+            a = timeout(sim, 1.0, value="a")
+            b = timeout(sim, 2.0, value="b")
+            result = yield all_of(sim, [a, b])
             got.update({ev.value: True for ev in result})
 
-        sim.spawn(worker())
+        spawn(sim, worker())
         sim.run()
         assert got == {"a": True, "b": True}
 
@@ -231,10 +240,10 @@ class TestCombinators:
         times = []
 
         def worker():
-            yield sim.all_of([])
+            yield all_of(sim, [])
             times.append(sim.now)
 
-        sim.spawn(worker())
+        spawn(sim, worker())
         sim.run()
         assert times == [0.0]
 
@@ -246,11 +255,11 @@ class TestCombinators:
 
         def worker():
             try:
-                yield sim.all_of([sim.timeout(10.0), bad])
+                yield all_of(sim, [timeout(sim, 10.0), bad])
             except RuntimeError:
                 caught.append(sim.now)
 
-        sim.spawn(worker())
+        spawn(sim, worker())
         sim.run()
         assert caught == [1.0]
 
@@ -261,7 +270,7 @@ class TestCombinators:
 
     def test_any_of_with_already_processed_event(self):
         sim = Simulator()
-        ev = sim.timeout(1.0, value="past")
+        ev = timeout(sim, 1.0, value="past")
         sim.run()
         combined = AnyOf(sim, [ev, sim.event()])
         sim.run()
