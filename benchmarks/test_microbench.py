@@ -58,9 +58,9 @@ def test_des_event_throughput(benchmark):
         def tick():
             count[0] += 1
             if count[0] < 10_000:
-                sim.call_in(0.001, tick)
+                sim.defer(0.001, tick)
 
-        sim.call_in(0.001, tick)
+        sim.defer(0.001, tick)
         sim.run()
         return count[0]
 
@@ -75,7 +75,7 @@ def test_processor_sharing_churn(benchmark):
         sim = Simulator()
         server = FairShareServer(sim, "cpu", capacity=6, job_cap=1.0)
         for i in range(1000):
-            sim.call_in(i * 0.01, lambda: server.submit(0.5))
+            sim.defer(i * 0.01, lambda: server.submit(0.5))
         sim.run()
         return server.active_jobs
 

@@ -19,6 +19,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -75,6 +76,27 @@ def _int_at_least(minimum: int):
 
 _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
+
+
+def _float_where(holds, expected: str):
+    """An argparse type: a finite float for which ``holds`` is true
+    (``expected`` names the range in the usage error)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and holds(value)):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _float_where(lambda value: value > 0, "a number > 0")
+_non_negative_float = _float_where(lambda value: value >= 0, "a number >= 0")
+_fraction = _float_where(lambda value: 0 <= value <= 1, "a number in [0, 1]")
 
 
 def _jobs(text: str) -> int | str:
@@ -136,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="MG-B load generators on the x86 host")
     run.add_argument("--calls", type=_positive_int, default=None,
                      help="override calls per run (throughput app)")
-    run.add_argument("--deadline", type=float, default=None,
+    run.add_argument("--deadline", type=_positive_float, default=None,
                      help="stop issuing calls after this many seconds")
     run.add_argument("--functional", action="store_true",
                      help="also execute the real kernel and verify")
@@ -185,18 +207,20 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--traffic", default=None, metavar="FILE",
                        help="replay this traffic trace JSON (see `repro "
                        "traffic`) instead of the seeded workload")
-    chaos.add_argument("--brownout-floor", type=float, default=None,
+    chaos.add_argument("--brownout-floor", type=_fraction, default=None,
                        metavar="FRACTION",
                        help="judge by the brownout contract with this "
                        "goodput floor instead of completion_rate == 1.0")
-    chaos.add_argument("--slo-p99", type=float, default=None, metavar="SECONDS",
+    chaos.add_argument("--slo-p99", type=_positive_float, default=None,
+                       metavar="SECONDS",
                        help="score every app in the workload against this "
                        "p99 latency target")
-    chaos.add_argument("--slo-goodput", type=float, default=None,
+    chaos.add_argument("--slo-goodput", type=_fraction, default=None,
                        metavar="FRACTION",
                        help="score every app against this deadline-goodput "
                        "floor")
-    chaos.add_argument("--horizon", type=float, default=None, metavar="SECONDS",
+    chaos.add_argument("--horizon", type=_positive_float, default=None,
+                       metavar="SECONDS",
                        help="scenario horizon; refuses plans whose faults "
                        "would fire past it")
 
@@ -211,25 +235,28 @@ def _build_parser() -> argparse.ArgumentParser:
     traffic.add_argument("--apps", nargs="+", type=_workload, default=None,
                          help="applications the crowd calls (default: the "
                          "interactive benchmarks)")
-    traffic.add_argument("--rate", type=float, default=3.0, metavar="PER_S",
+    traffic.add_argument("--rate", type=_positive_float, default=3.0,
+                         metavar="PER_S",
                          help="base arrival rate (clients/second)")
-    traffic.add_argument("--horizon", type=float, default=30.0,
+    traffic.add_argument("--horizon", type=_positive_float, default=30.0,
                          metavar="SECONDS", help="arrivals stop here")
-    traffic.add_argument("--diurnal-period", type=float, default=30.0,
+    traffic.add_argument("--diurnal-period", type=_positive_float, default=30.0,
                          metavar="SECONDS", help="diurnal cycle length")
-    traffic.add_argument("--diurnal-amplitude", type=float, default=0.4,
+    traffic.add_argument("--diurnal-amplitude", default=0.4,
+                         type=_float_where(lambda value: 0 <= value < 1,
+                                           "a number in [0, 1)"),
                          help="diurnal swing in [0, 1); 0 disables it")
-    traffic.add_argument("--spike-at", type=float, default=None,
+    traffic.add_argument("--spike-at", type=_non_negative_float, default=None,
                          metavar="SECONDS", help="flash-crowd spike start")
-    traffic.add_argument("--spike-duration", type=float, default=5.0,
+    traffic.add_argument("--spike-duration", type=_positive_float, default=5.0,
                          metavar="SECONDS")
-    traffic.add_argument("--spike-factor", type=float, default=10.0,
+    traffic.add_argument("--spike-factor", type=_positive_float, default=10.0,
                          help="rate multiplier while the spike is active")
-    traffic.add_argument("--calls-alpha", type=float, default=1.5,
+    traffic.add_argument("--calls-alpha", type=_positive_float, default=1.5,
                          help="Pareto tail index for session lengths")
     traffic.add_argument("--calls-max", type=_positive_int, default=4,
                          help="session-length cap (calls per client)")
-    traffic.add_argument("--deadline", type=float, default=None,
+    traffic.add_argument("--deadline", type=_positive_float, default=None,
                          metavar="SECONDS",
                          help="per-client completion deadline")
     traffic.add_argument("--seed", type=int, default=0)
@@ -240,10 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          "deployment and report per-app SLO scores")
     traffic.add_argument("--background", type=_non_negative_int, default=10,
                          help="resident background processes during replay")
-    traffic.add_argument("--slo-p99", type=float, default=None,
+    traffic.add_argument("--slo-p99", type=_positive_float, default=None,
                          metavar="SECONDS",
                          help="with --replay: per-app p99 latency target")
-    traffic.add_argument("--slo-goodput", type=float, default=None,
+    traffic.add_argument("--slo-goodput", type=_fraction, default=None,
                          metavar="FRACTION",
                          help="with --replay: per-app deadline-goodput floor")
 
@@ -284,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--background", type=_non_negative_int, default=20,
                        help="background processes per node")
     fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--gossip-interval", type=float, default=1.0,
+    fleet.add_argument("--gossip-interval", type=_positive_float, default=1.0,
                        metavar="SECONDS",
                        help="load-digest publication interval (bounds "
                        "placement staleness)")
@@ -302,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="explicit app list (default: sample like Figure 5)")
     metrics.add_argument("--set-size", type=_positive_int, default=10,
                          help="sampled set size when --apps is not given")
-    metrics.add_argument("--total-processes", type=int, default=120,
+    metrics.add_argument("--total-processes", type=_non_negative_int, default=120,
                          help="target process count incl. MG-B background")
     metrics.add_argument("--mode", choices=sorted(_MODES), default="xar-trek")
     metrics.add_argument("--seed", type=int, default=0)

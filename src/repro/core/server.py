@@ -550,7 +550,7 @@ class SchedulerServer:
                 return
             self._maybe_reconfigure(kernel_name)
 
-        self.platform.sim.call_in(config.reconfig_retry_backoff_s, retry)
+        self.platform.sim.defer(config.reconfig_retry_backoff_s, retry)
 
     def _reset_reconfig_retries(self) -> None:
         """Re-arm background reconfiguration retries for every kernel

@@ -74,7 +74,7 @@ class FaultInjector:
                     f"{spec.kind} at t={spec.at_s} is in the past "
                     f"(now={self.sim.now}); arm the plan before running"
                 )
-            self.sim.call_at(spec.at_s, lambda spec=spec: self._fire(spec))
+            self.sim.call_at(spec.at_s, self._fire, spec)
 
     # -- strike dispatch ---------------------------------------------------
     def _fire(self, spec: FaultSpec) -> None:
@@ -108,7 +108,7 @@ class FaultInjector:
     def _fire_link_degrade(self, spec: FaultSpec) -> None:
         link = getattr(self.runtime.platform, spec.target)
         link.set_degradation(spec.factor)
-        self.sim.call_at(spec.end_s, lambda: link.set_degradation(1.0))
+        self.sim.call_at(spec.end_s, link.set_degradation, 1.0)
 
     def _fire_server_outage(self, spec: FaultSpec) -> None:
         server = self.runtime.server
@@ -118,4 +118,4 @@ class FaultInjector:
     def _fire_server_slow(self, spec: FaultSpec) -> None:
         server = self.runtime.server
         server.set_reply_delay_factor(spec.factor)
-        self.sim.call_at(spec.end_s, lambda: server.set_reply_delay_factor(1.0))
+        self.sim.call_at(spec.end_s, server.set_reply_delay_factor, 1.0)

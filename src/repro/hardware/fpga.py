@@ -381,7 +381,7 @@ class FPGADevice:
             )
             done.succeed(image.name)
 
-        self.sim.call_in(delay, finish)
+        self.sim.defer(delay, finish)
         return done
 
     # -- execution -----------------------------------------------------------

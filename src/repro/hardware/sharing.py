@@ -398,9 +398,9 @@ class FairShareServer:
         if rate <= 0:
             return
         shortest = max(0.0, head.entry_virtual + head.work - self._virtual)
-        # defer() recycles the scheduled record and takes the epoch as a
-        # plain argument — no per-reschedule closure or event allocation
-        # on what profiling shows is the single hottest call site.
+        # defer() takes the epoch as a plain argument — no per-reschedule
+        # closure or event allocation on what profiling shows is the
+        # single hottest call site.
         self.sim.defer(shortest / rate, self._on_completion, self._epoch)
 
     def _on_completion(self, epoch: int) -> None:

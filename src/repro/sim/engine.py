@@ -1,15 +1,17 @@
 """Deterministic discrete-event simulation kernel.
 
 The engine is a small, dependency-free event loop: a :class:`Simulator`
-owns a priority queue of timestamped events, and the models advance as
+owns a priority queue of timestamped calls, and the models advance as
 callback chains. A phase that takes simulated time schedules its
 continuation (:meth:`Simulator.defer`), and a waiter attaches a callback
-to an :class:`Event`. An event costs a queue entry only where simulated
-time passes or a waiter really queues; the hand-off from one finished
-phase to the next runs its callbacks in place
-(:meth:`Event.succeed_in_place`). Determinism is guaranteed by breaking
-timestamp ties with a monotonically increasing sequence number, so two
-simulations with the same seed replay identically.
+to an :class:`Event`. Every queue entry has one shape,
+``(at, seq, fn, arg)``: a deferred call queues its own function, and a
+triggered event queues its processing. An event costs a queue entry
+only where simulated time passes or a waiter really queues; the
+hand-off from one finished phase to the next runs its callbacks in
+place (:meth:`Event.succeed_in_place`). Determinism is guaranteed by
+breaking timestamp ties with a monotonically increasing sequence
+number, so two simulations with the same seed replay identically.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. re-triggering)."""
+
+
+#: The ``arg`` of a queue entry whose function takes no argument; tells
+#: "no argument" apart from an explicit ``None``.
+_NO_ARG = object()
 
 
 class Event:
@@ -89,7 +96,7 @@ class Event:
         self._value = value
         self._state = Event.TRIGGERED
         sim = self.sim
-        heapq.heappush(sim._queue, (sim.now, next(sim._seq), self))
+        heapq.heappush(sim._queue, (sim.now, next(sim._seq), Event._process, self))
         return self
 
     def succeed_in_place(self, value: Any = None) -> None:
@@ -119,16 +126,13 @@ class Event:
         """Trigger the event with an exception."""
         if not isinstance(exc, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(False, exc)
-        return self
-
-    def _trigger(self, ok: bool, value: Any) -> None:
         if self._state != Event.PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        self._ok = ok
-        self._value = value
+        self._ok = False
+        self._value = exc
         self._state = Event.TRIGGERED
         self.sim._enqueue(self.sim.now, self)
+        return self
 
     def _process(self) -> None:
         self._state = Event.PROCESSED
@@ -144,83 +148,14 @@ class Event:
         return f"<{type(self).__name__} {self._state} at {id(self):#x}>"
 
 
-class _Call(Event):
-    """A pre-triggered event that invokes ``fn`` when processed.
-
-    The cheap backbone of :meth:`Simulator.call_in` /
-    :meth:`Simulator.call_at`: one heap entry and one attribute instead
-    of an extra event plus a closure appended to its callback list.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, sim: "Simulator", delay: float, fn: Callable[[], Any]):
-        if delay < 0:
-            raise SimulationError(f"negative call delay {delay!r}")
-        super().__init__(sim)
-        self._ok = True
-        self._state = Event.TRIGGERED
-        self._fn = fn
-        sim._enqueue(sim.now + delay, self)
-
-    def _process(self) -> None:
-        self._state = Event.PROCESSED
-        self._fn()
-        callbacks = self.callbacks
-        if callbacks:
-            self.callbacks = []
-            for callback in callbacks:
-                callback(self)
-
-
-#: Sentinel distinguishing "no argument" from an explicit ``None`` in
-#: :meth:`Simulator.defer`.
-_NO_ARG = object()
-
-
-class _Deferred:
-    """A recyclable scheduled-call record — the zero-allocation backbone
-    of :meth:`Simulator.defer`.
-
-    Unlike :class:`_Call` this is *not* an :class:`Event`: ``defer()``
-    returns no handle, so nothing outside the kernel can hold a
-    reference to a record, wait on it, or observe it after it fires.
-    That guarantee is what makes recycling safe — once ``_process``
-    runs, the record goes straight back on the simulator's free list
-    and the next ``defer()`` reuses it instead of allocating.
-
-    Duck-types the only part of the event protocol the run loops touch
-    (``_process``); the queue never compares records because the
-    ``(at, seq)`` tuple prefix is unique.
-    """
-
-    __slots__ = ("sim", "_fn", "_arg")
-
-    def _process(self) -> None:
-        fn = self._fn
-        arg = self._arg
-        # Detach before invoking: fn may re-defer and legitimately grab
-        # this very record back off the free list.
-        self._fn = None
-        self._arg = None
-        self.sim._free.append(self)
-        if arg is _NO_ARG:
-            fn()
-        else:
-            fn(arg)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<_Deferred fn={self._fn!r} at {id(self):#x}>"
-
-
 class PeriodicCall:
     """A self-rescheduling timer: ``fn()`` every ``interval`` seconds
     until :meth:`cancel`.
 
-    Each tick arms exactly one :class:`_Call` for the next one, so a
-    live timer keeps the queue non-empty — callers that own one must
-    :meth:`cancel` it before expecting :meth:`Simulator.run` to drain
-    (e.g. a fleet's gossip tick is cancelled by ``stop()``).
+    Each tick queues exactly one call for the next one, so a live timer
+    keeps the queue non-empty — callers that own one must :meth:`cancel`
+    it before expecting :meth:`Simulator.run` to drain (e.g. a fleet's
+    gossip tick is cancelled by ``stop()``).
     ``fn`` runs *before* the next tick is armed; if it raises, the chain
     stops (nothing is rescheduled).
     """
@@ -263,77 +198,49 @@ class PeriodicCall:
 
 
 class Simulator:
-    """The event loop: owns simulated time and the pending-event queue."""
+    """The event loop: owns simulated time and the pending-call queue."""
 
-    __slots__ = (
-        "now",
-        "_queue",
-        "_seq",
-        "events_processed",
-        "_free",
-        "deferred_allocations",
-        "deferred_reuses",
-    )
+    __slots__ = ("now", "_queue", "_seq", "events_processed")
 
     def __init__(self):
         self.now: float = 0.0
-        #: Binary heap of ``(at, seq, event)`` tuples; ``seq`` breaks
-        #: timestamp ties in scheduling order.
+        #: Binary heap of ``(at, seq, fn, arg)`` entries, each run as
+        #: ``fn(arg)``, or ``fn()`` when ``arg`` is ``_NO_ARG``. ``seq``
+        #: breaks timestamp ties in scheduling order, so ``fn`` and
+        #: ``arg`` are never compared.
         self._queue: list = []
         self._seq = itertools.count()
-        #: Events processed so far; the wall-clock bench harness divides
-        #: this by elapsed real time to report events/sec.
+        #: Queue entries run so far; the benchmark reports it as the
+        #: simulated events of an iteration.
         self.events_processed: int = 0
-        #: Free list of spent :class:`_Deferred` records plus counters
-        #: exposing its effectiveness (tested: a long run must mostly
-        #: reuse rather than allocate).
-        self._free: list = []
-        self.deferred_allocations: int = 0
-        self.deferred_reuses: int = 0
 
     # -- scheduling primitives ----------------------------------------------
     def _enqueue(self, at: float, event: Event) -> None:
-        heapq.heappush(self._queue, (at, next(self._seq), event))
+        """Queue the processing of a triggered ``event`` at time ``at``."""
+        heapq.heappush(self._queue, (at, next(self._seq), Event._process, event))
 
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
         return Event(self)
 
-    def call_at(self, when: float, fn: Callable[[], Any]) -> Event:
-        """Run ``fn`` at absolute simulated time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"call_at({when}) is in the past (now={self.now})")
-        return _Call(self, when - self.now, fn)
-
-    def call_in(self, delay: float, fn: Callable[[], Any]) -> Event:
-        """Run ``fn`` after ``delay`` simulated seconds."""
-        return _Call(self, delay, fn)
+    def call_at(self, when: float, fn: Callable, arg: Any = _NO_ARG) -> None:
+        """Run ``fn`` (or ``fn(arg)``) at absolute simulated time ``when``."""
+        if not when >= self.now:  # also refuses NaN
+            raise SimulationError(
+                f"call_at({when}) is in the past or not a time (now={self.now})"
+            )
+        heapq.heappush(self._queue, (when, next(self._seq), fn, arg))
 
     def defer(self, delay: float, fn: Callable, arg: Any = _NO_ARG) -> None:
-        """Run ``fn`` (or ``fn(arg)``) after ``delay`` simulated seconds,
-        returning no handle.
+        """Run ``fn`` (or ``fn(arg)``) after ``delay`` simulated seconds.
 
-        The fire-and-forget sibling of :meth:`call_in` for the kernel's
-        hot paths: because the caller gets nothing back, the scheduled
-        record can be recycled through a free list the moment it fires,
-        so a steady-state simulation stops allocating for timer-driven
-        work entirely. Prefer this over ``call_in(delay, lambda: ...)``
-        whenever the returned event is unused — it also saves the
-        closure by passing ``arg`` through.
+        Returns no handle: a caller that needs to wait on the outcome
+        waits on an :class:`Event` the deferred call triggers. Passing
+        the one value ``fn`` needs as ``arg`` saves building a closure.
         """
-        if delay < 0:
-            raise SimulationError(f"negative defer delay {delay!r}")
-        free = self._free
-        if free:
-            record = free.pop()
-            self.deferred_reuses += 1
-        else:
-            record = _Deferred.__new__(_Deferred)
-            record.sim = self
-            self.deferred_allocations += 1
-        record._fn = fn
-        record._arg = arg
-        heapq.heappush(self._queue, (self.now + delay, next(self._seq), record))
+        if not delay >= 0.0:  # also refuses NaN
+            raise SimulationError(f"defer delay must be >= 0, got {delay!r}")
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), fn, arg))
 
     def call_every(
         self,
@@ -351,43 +258,37 @@ class Simulator:
         """Time of the next scheduled event, or ``None`` if queue empty."""
         return self._queue[0][0] if self._queue else None
 
-    def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
-            raise SimulationError("step() on an empty queue")
-        at, _seq, event = heapq.heappop(self._queue)
-        self.now = at
-        self.events_processed += 1
-        event._process()
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, or until simulated time ``until``.
 
         When ``until`` is given, time is advanced to exactly ``until``
         even if the last event fires earlier.
-
-        The drain loop calls ``heappop`` directly instead of going
-        through ``step()``'s method dispatch, which is worth ~15% of
-        kernel time on event-dense scenarios.
         """
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
         queue = self._queue
         pop = heapq.heappop
+        no_arg = _NO_ARG
         processed = 0
         try:
             if until is None:
                 while queue:
-                    at, _seq, event = pop(queue)
+                    at, _seq, fn, arg = pop(queue)
                     self.now = at
                     processed += 1
-                    event._process()
+                    if arg is no_arg:
+                        fn()
+                    else:
+                        fn(arg)
             else:
                 while queue and queue[0][0] <= until:
-                    at, _seq, event = pop(queue)
+                    at, _seq, fn, arg = pop(queue)
                     self.now = at
                     processed += 1
-                    event._process()
+                    if arg is no_arg:
+                        fn()
+                    else:
+                        fn(arg)
         finally:
             self.events_processed += processed
         if until is not None:
@@ -402,15 +303,19 @@ class Simulator:
         event.defused = True
         queue = self._queue
         pop = heapq.heappop
+        no_arg = _NO_ARG
         processed = 0
         try:
             while event._state != Event.PROCESSED:
                 if not queue:
                     raise SimulationError("simulation ended before event triggered")
-                at, _seq, pending = pop(queue)
+                at, _seq, fn, arg = pop(queue)
                 self.now = at
                 processed += 1
-                pending._process()
+                if arg is no_arg:
+                    fn()
+                else:
+                    fn(arg)
         finally:
             self.events_processed += processed
         if not event._ok:

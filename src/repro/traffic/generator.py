@@ -181,13 +181,16 @@ class TraceEntry:
     deadline_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.arrival_s < 0:
-            raise TrafficError(f"arrival_s must be >= 0, got {self.arrival_s!r}")
+        # Chained comparisons refuse NaN and infinity too.
+        if not 0.0 <= self.arrival_s < math.inf:
+            raise TrafficError(
+                f"arrival_s must be finite and >= 0, got {self.arrival_s!r}"
+            )
         if self.calls < 1:
             raise TrafficError(f"calls must be >= 1, got {self.calls!r}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not 0.0 < self.deadline_s < math.inf:
             raise TrafficError(
-                f"deadline_s must be positive, got {self.deadline_s!r}"
+                f"deadline_s must be finite and positive, got {self.deadline_s!r}"
             )
 
 

@@ -327,9 +327,10 @@ class XRTDevice:
             in_buf.on_device = bool(bytes_in)
             if fail_this_run:
                 # The fault surfaces partway through the kernel run.
-                sim.call_in(
+                sim.defer(
                     duration / 2,
-                    lambda: fail(SimulationError(f"kernel {kernel_name} run fault")),
+                    fail,
+                    SimulationError(f"kernel {kernel_name} run fault"),
                 )
                 return
             try:

@@ -152,7 +152,7 @@ class Process(Event):
 
         if not isinstance(target, Event):
             exc = SimulationError(f"process yielded a non-event: {target!r}")
-            self.sim.call_in(0, lambda: self._step(exc, as_exception=True))
+            self.sim.defer(0, lambda: self._step(exc, as_exception=True))
             return
         if target._state == Event.PROCESSED:
             # Already-processed events resume the process immediately

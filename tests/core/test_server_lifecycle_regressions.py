@@ -34,11 +34,12 @@ def runtime():
 
 
 def _run_until_failed(runtime, n):
-    """Advance the shared sim until ``n`` programming failures landed
-    (stopping *inside* the retry backoff, before the retry fires)."""
+    """Advance the shared sim one instant at a time until ``n``
+    programming failures landed (stopping *inside* the retry backoff,
+    before the retry fires)."""
     sim = runtime.platform.sim
     while runtime.server.stats.reconfigurations_failed < n:
-        sim.step()
+        sim.run(until=sim.peek())
 
 
 class TestRetryGenerationGuard:

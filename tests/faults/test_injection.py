@@ -134,7 +134,7 @@ class TestDeviceCrash:
         runtime.platform.sim.run_until_event(runtime.preload_fpga())
         done = runtime.xrt.run_kernel(KERNEL, 1024, 64, duration=1.0)
         done.defused = True
-        runtime.platform.sim.call_in(0.1, runtime.platform.fpga.crash)
+        runtime.platform.sim.defer(0.1, runtime.platform.fpga.crash)
         runtime.platform.sim.run()
         assert not done.ok
         assert isinstance(done.value, XRTError)

@@ -61,7 +61,7 @@ class TestCPUCluster:
         sim = Simulator()
         cluster = CPUCluster(sim, XEON_BRONZE_3104)
         job = cluster.execute_job(5.0)
-        sim.call_in(1.0, lambda: cluster.cancel(job))
+        sim.defer(1.0, lambda: cluster.cancel(job))
         sim.run()
         assert not job.done.triggered
         assert cluster.load == 0

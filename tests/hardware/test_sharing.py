@@ -69,7 +69,7 @@ class TestDynamics:
         # 1 core. Job A (2s) starts alone; B (1s) arrives at t=1.
         sim, srv = make_server(capacity=1, job_cap=1)
         job_a = srv.submit(2.0, tag="a")
-        sim.call_in(1.0, lambda: srv.submit(1.0, tag="b"))
+        sim.defer(1.0, lambda: srv.submit(1.0, tag="b"))
         sim.run()
         # At t=1, A has 1.0 left, B has 1.0; each at rate 0.5 -> both at t=3.
         assert job_a.finish_time == pytest.approx(3.0)
@@ -79,7 +79,7 @@ class TestDynamics:
         sim, srv = make_server(capacity=1)
         job_a = srv.submit(4.0, tag="a")
         job_b = srv.submit(4.0, tag="b")
-        sim.call_in(2.0, lambda: srv.cancel(job_b))
+        sim.defer(2.0, lambda: srv.cancel(job_b))
         sim.run()
         # 2s shared (1.0 each done), then A alone finishes remaining 3.0.
         assert job_a.finish_time == pytest.approx(5.0)
@@ -169,7 +169,7 @@ class TestProperties:
             jobs[index] = srv.submit(work)
 
         for index, (t, work) in enumerate(arrivals):
-            sim.call_in(t, lambda i=index, w=work: submit(i, w))
+            sim.defer(t, lambda i=index, w=work: submit(i, w))
         sim.run()
 
         expected = _reference_finish_times(arrivals, float(capacity), 1.0)
@@ -235,7 +235,7 @@ class TestProperties:
         jobs = []
 
         for at, work in arrivals:
-            sim.call_in(at, lambda w=work: jobs.append(srv.submit(w)))
+            sim.defer(at, lambda w=work: jobs.append(srv.submit(w)))
         sim.run()
         assert len(jobs) == len(arrivals)
         assert all(j.done.processed for j in jobs)
@@ -353,16 +353,16 @@ class _PoolWorld:
             def begin(index=index, processes=processes, work=work):
                 self.pools[index] = pool_form(runtime, processes, work)
 
-            sim.call_in(start, begin)
-            sim.call_in(
+            sim.defer(start, begin)
+            sim.defer(
                 start + stop_after, lambda index=index: self.pools[index].stop()
             )
         for at, work in scenario.units:
-            sim.call_in(at, lambda work=work: self.units.append(srv.submit(work)))
+            sim.defer(at, lambda work=work: self.units.append(srv.submit(work)))
         at, capacity = scenario.capacity_change
-        sim.call_in(at, lambda: srv.set_capacity(capacity))
+        sim.defer(at, lambda: srv.set_capacity(capacity))
         for at in scenario.probes:
-            sim.call_in(at, lambda: None)
+            sim.defer(at, lambda: None)
 
     def observe(self):
         srv = self.srv

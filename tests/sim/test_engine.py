@@ -79,7 +79,7 @@ class TestScheduling:
     def test_call_in_runs_callback_at_right_time(self):
         sim = Simulator()
         seen = []
-        sim.call_in(3.0, lambda: seen.append(sim.now))
+        sim.defer(3.0, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [3.0]
 
@@ -100,9 +100,9 @@ class TestScheduling:
     def test_events_process_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.call_in(2.0, lambda: order.append("b"))
-        sim.call_in(1.0, lambda: order.append("a"))
-        sim.call_in(3.0, lambda: order.append("c"))
+        sim.defer(2.0, lambda: order.append("b"))
+        sim.defer(1.0, lambda: order.append("a"))
+        sim.defer(3.0, lambda: order.append("c"))
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -110,7 +110,7 @@ class TestScheduling:
         sim = Simulator()
         order = []
         for tag in ("first", "second", "third"):
-            sim.call_in(1.0, lambda t=tag: order.append(t))
+            sim.defer(1.0, lambda t=tag: order.append(t))
         sim.run()
         assert order == ["first", "second", "third"]
 
@@ -123,13 +123,59 @@ class TestScheduling:
         assert seen == [99]
 
 
+class TestDefer:
+    def test_calls_fn_with_no_argument(self):
+        sim = Simulator()
+        seen = []
+        sim.defer(1.5, lambda *args: seen.append((sim.now, args)))
+        sim.run()
+        assert seen == [(1.5, ())]
+
+    def test_passes_an_explicit_none_through(self):
+        sim = Simulator()
+        seen = []
+        sim.defer(1.0, lambda *args: seen.append(args), None)
+        sim.run()
+        assert seen == [(None,)]
+
+    @pytest.mark.parametrize("delay", [-0.5, float("nan")])
+    def test_negative_or_nan_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.defer(delay, lambda: None)
+        assert sim.peek() is None
+
+    def test_call_at_passes_its_argument(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(2.0, lambda arg: seen.append((sim.now, arg)), "payload")
+        sim.run()
+        assert seen == [(2.0, "payload")]
+
+    def test_call_at_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.call_at(float("nan"), lambda: None)
+        assert sim.peek() is None
+        assert sim.now == 0.0
+
+    def test_events_triggered_from_deferred_calls_keep_their_state(self):
+        sim = Simulator()
+        events = [sim.event() for _ in range(5)]
+        for index, ev in enumerate(events):
+            sim.defer(0.1 * index, lambda e=ev, i=index: e.succeed(i))
+        sim.run()
+        assert [ev.value for ev in events] == list(range(5))
+        assert all(ev._state == Event.PROCESSED for ev in events)
+
+
 class TestSucceedInPlace:
     def test_runs_attached_callbacks_without_a_queue_entry(self):
         sim = Simulator()
         ev = sim.event()
         seen = []
         ev.callbacks.append(lambda e: seen.append((sim.now, e.value)))
-        sim.call_in(1.0, lambda: ev.succeed_in_place("v"))
+        sim.defer(1.0, lambda: ev.succeed_in_place("v"))
         sim.run()
         assert seen == [(1.0, "v")]
         assert ev.processed and ev.ok and ev.value == "v"
@@ -146,7 +192,7 @@ class TestSucceedInPlace:
             queued.succeed()
             in_place.succeed_in_place()
 
-        sim.call_in(1.0, hand_off)
+        sim.defer(1.0, hand_off)
         sim.run()
         assert order == ["in place", "queued"]
 
@@ -162,7 +208,7 @@ class TestSucceedInPlace:
     def test_run_until_event_returns_a_value_handed_over_in_place(self):
         sim = Simulator()
         ev = sim.event()
-        sim.call_in(2.0, lambda: ev.succeed_in_place("done"))
+        sim.defer(2.0, lambda: ev.succeed_in_place("done"))
         assert sim.run_until_event(ev) == "done"
         assert sim.now == 2.0
 
@@ -183,11 +229,6 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
 
-    def test_step_on_empty_queue_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.step()
-
     def test_peek_reports_next_event_time(self):
         sim = Simulator()
         assert sim.peek() is None
@@ -203,7 +244,7 @@ class TestRunControl:
     def test_run_until_event_raises_failure(self):
         sim = Simulator()
         ev = sim.event()
-        sim.call_in(1.0, lambda: ev.fail(RuntimeError("bad")))
+        sim.defer(1.0, lambda: ev.fail(RuntimeError("bad")))
         with pytest.raises(RuntimeError, match="bad"):
             sim.run_until_event(ev)
 
@@ -221,7 +262,7 @@ class TestDeterminism:
             trace = []
             for i in range(50):
                 delay = (i * 37 % 11) / 10
-                sim.call_in(delay, lambda i=i: trace.append((sim.now, f"ev{i}")))
+                sim.defer(delay, lambda i=i: trace.append((sim.now, f"ev{i}")))
             sim.run()
             return trace
 

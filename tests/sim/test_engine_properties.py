@@ -1,11 +1,12 @@
 """Property-based tests for the simulation kernel.
 
 Random interleavings of the four scheduling primitives (``timeout``,
-``call_at``, ``call_in``, manually triggered ``event``), including
+``call_at``, ``defer``, manually triggered ``event``), including
 callbacks that schedule more work mid-run, must never violate the
 engine's contract: events process in timestamp order, ``run(until=...)``
-never overshoots, identical schedules replay identically, and triggering
-an event twice always raises :class:`SimulationError`.
+never overshoots, identical schedules replay identically, entries due
+at the same instant fire in the order they were scheduled, and
+triggering an event twice always raises :class:`SimulationError`.
 """
 
 import pytest
@@ -17,13 +18,13 @@ from tests.core.process_reference import timeout
 
 pytestmark = pytest.mark.metrics
 
-_KINDS = ("timeout", "call_at", "call_in", "event")
+_KINDS = ("timeout", "call_at", "defer", "event")
 
 _delays = st.floats(
     min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
 
-#: One scheduling op: (primitive, delay, optional nested call_in delay).
+#: One scheduling op: (primitive, delay, optional nested defer delay).
 _ops = st.tuples(
     st.sampled_from(_KINDS), _delays, st.one_of(st.none(), _delays)
 )
@@ -37,19 +38,76 @@ def _schedule(sim: Simulator, ops, log):
             log.append((sim.now, index))
             if nested is not None:
                 # Work scheduled *from* a callback interleaves too.
-                sim.call_in(nested, lambda: log.append((sim.now, index)))
+                sim.defer(nested, lambda: log.append((sim.now, index)))
 
         if kind == "timeout":
             ev = timeout(sim, delay)
             ev.callbacks.append(lambda _ev, fire=fire: fire())
         elif kind == "call_at":
             sim.call_at(delay, fire)  # absolute == relative at t=0
-        elif kind == "call_in":
-            sim.call_in(delay, fire)
+        elif kind == "defer":
+            sim.defer(delay, fire)
         else:
             ev = sim.event()
             ev.callbacks.append(lambda _ev, fire=fire: fire())
-            sim.call_in(delay, lambda ev=ev: ev.succeed())
+            sim.defer(delay, lambda ev=ev: ev.succeed())
+
+
+#: Kinds of entry a tie-dense schedule mixes: the two timed calls, and
+#: an event triggered (succeeded, or failed and defused) right away.
+_TIE_KINDS = st.sampled_from(("defer", "call_at", "succeed", "fail"))
+
+#: A delay palette biased toward 0.0, so most entries tie.
+_TIE_DELAYS = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0])
+
+#: One entry: (kind, delay, the entries its callback schedules).
+_tie_ops = st.recursive(
+    st.tuples(_TIE_KINDS, _TIE_DELAYS, st.just(())),
+    lambda inner: st.tuples(
+        _TIE_KINDS, _TIE_DELAYS, st.lists(inner, max_size=3).map(tuple)
+    ),
+    max_leaves=12,
+)
+
+
+def _place(sim: Simulator, op, label, expected, log):
+    """Schedule ``op`` now; note its due time and scheduling rank in
+    ``expected``. Firing logs ``label`` and schedules the children."""
+    kind, delay, children = op
+
+    def fire(*_event):
+        log.append((sim.now, label))
+        for index, child in enumerate(children):
+            _place(sim, child, label + (index,), expected, log)
+
+    if kind in ("defer", "call_at"):
+        expected.append((sim.now + delay, len(expected), label))
+        if kind == "defer":
+            sim.defer(delay, fire)
+        else:
+            sim.call_at(sim.now + delay, fire)
+        return
+    ev = sim.event()
+    ev.callbacks.append(fire)
+    expected.append((sim.now, len(expected), label))
+    if kind == "succeed":
+        ev.succeed()
+    else:
+        ev.defused = True
+        ev.fail(RuntimeError("expected"))
+
+
+class TestSameInstantOrder:
+    @settings(deadline=None, max_examples=200)
+    @given(plan=st.lists(_tie_ops, min_size=1, max_size=12))
+    def test_entries_due_together_fire_in_scheduling_order(self, plan):
+        sim = Simulator()
+        expected: list = []
+        log: list = []
+        for index, op in enumerate(plan):
+            _place(sim, op, (index,), expected, log)
+        sim.run()
+        assert log == [(due, label) for due, _rank, label in sorted(expected)]
 
 
 class TestTimestampOrder:

@@ -159,7 +159,7 @@ class TestInterrupt:
                 caught.append((sim.now, intr.cause))
 
         proc = spawn(sim, worker())
-        sim.call_in(2.0, lambda: proc.interrupt("preempted"))
+        sim.defer(2.0, lambda: proc.interrupt("preempted"))
         sim.run()
         assert caught == [(2.0, "preempted")]
 
@@ -177,7 +177,7 @@ class TestInterrupt:
             return "recovered"
 
         proc = spawn(sim, worker())
-        sim.call_in(2.0, lambda: proc.interrupt())
+        sim.defer(2.0, lambda: proc.interrupt())
         sim.run()
         assert proc.value == "recovered"
         # The process resumed at t=2 and finished at t=3; the abandoned
@@ -251,7 +251,7 @@ class TestCombinators:
         sim = Simulator()
         caught = []
         bad = sim.event()
-        sim.call_in(1.0, lambda: bad.fail(RuntimeError("nope")))
+        sim.defer(1.0, lambda: bad.fail(RuntimeError("nope")))
 
         def worker():
             try:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.popcorn import load_xelf
+from repro.traffic import TrafficError
 
 
 class TestList:
@@ -172,6 +173,17 @@ class TestCohort:
         assert f"argument --clients: expected an integer >= 1, got {value!r}" in err
 
 
+class TestChaos:
+    def test_a_trace_with_a_nan_arrival_is_refused(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text(
+            '{"schema": "xar-trek-traffic-trace/1", "entries": '
+            '[{"app": "digit.500", "arrival_s": NaN, "calls": 1}]}'
+        )
+        with pytest.raises(TrafficError, match="arrival_s"):
+            main(["chaos", "--quick", "--traffic", str(path)])
+
+
 class TestArgumentTypes:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -200,6 +212,28 @@ class TestArgumentTypes:
             (["figure", "3", "--repeats", "0"], "--repeats"),
             (["report", "--repeats", "0"], "--repeats"),
             (["metrics", "--set-size", "0"], "--set-size"),
+            (["metrics", "--total-processes", "-3"], "--total-processes"),
+            # Out-of-range or non-finite numbers are usage errors too,
+            # not a library traceback or a silently empty run.
+            (["run", "digit.500", "--deadline", "-1"], "--deadline"),
+            (["run", "digit.500", "--deadline", "0"], "--deadline"),
+            (["run", "digit.500", "--deadline", "nan"], "--deadline"),
+            (["traffic", "--rate", "0"], "--rate"),
+            (["traffic", "--horizon", "0"], "--horizon"),
+            (["traffic", "--diurnal-period", "0"], "--diurnal-period"),
+            (["traffic", "--diurnal-amplitude", "2"], "--diurnal-amplitude"),
+            (["traffic", "--spike-at", "-1"], "--spike-at"),
+            (["traffic", "--spike-duration", "-1"], "--spike-duration"),
+            (["traffic", "--spike-factor", "0"], "--spike-factor"),
+            (["traffic", "--calls-alpha", "0"], "--calls-alpha"),
+            (["traffic", "--deadline", "-1"], "--deadline"),
+            (["traffic", "--slo-p99", "-1"], "--slo-p99"),
+            (["traffic", "--slo-goodput", "2"], "--slo-goodput"),
+            (["chaos", "--quick", "--brownout-floor", "1.5"], "--brownout-floor"),
+            (["chaos", "--quick", "--slo-p99", "0"], "--slo-p99"),
+            (["chaos", "--quick", "--slo-goodput", "-1"], "--slo-goodput"),
+            (["chaos", "--quick", "--horizon", "nan"], "--horizon"),
+            (["fleet", "--gossip-interval", "0"], "--gossip-interval"),
         ],
     )
     def test_bad_values_get_a_usage_error(self, capsys, argv, flag):

@@ -129,6 +129,10 @@ class TestTraceValue:
             {"app": "a", "arrival_s": -0.1, "calls": 1},
             {"app": "a", "arrival_s": 0.0, "calls": 0},
             {"app": "a", "arrival_s": 0.0, "calls": 1, "deadline_s": 0.0},
+            {"app": "a", "arrival_s": float("nan"), "calls": 1},
+            {"app": "a", "arrival_s": float("inf"), "calls": 1},
+            {"app": "a", "arrival_s": 0.0, "calls": 1, "deadline_s": float("nan")},
+            {"app": "a", "arrival_s": 0.0, "calls": 1, "deadline_s": float("inf")},
         ],
     )
     def test_bad_entry_rejected(self, kwargs):
@@ -183,6 +187,19 @@ class TestSerialization:
             '"entries": [{"app": "a"}]}'
         )
         with pytest.raises(TrafficError, match="malformed trace entry"):
+            Trace.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"app": "a", "arrival_s": NaN, "calls": 1}',
+            '{"app": "a", "arrival_s": Infinity, "calls": 1}',
+            '{"app": "a", "arrival_s": 0.0, "calls": 1, "deadline_s": NaN}',
+        ],
+    )
+    def test_non_finite_times_rejected(self, entry):
+        payload = f'{{"schema": "xar-trek-traffic-trace/1", "entries": [{entry}]}}'
+        with pytest.raises(TrafficError, match="must be finite"):
             Trace.from_json(payload)
 
     def test_missing_file_reported(self, tmp_path):
