@@ -81,7 +81,12 @@ class BackgroundLoad:
             raise ValueError(f"duty must be in (0, 1], got {duty}")
         if n_processes < 0:
             raise ValueError(f"n_processes must be >= 0, got {n_processes}")
-        self.runtime = runtime
+        # The pool keeps the simulator and the x86 cluster, not the
+        # runtime: after stop() its last round is still queued, and a
+        # queue entry that reached the runtime would keep the whole
+        # deployment alive until a full collection.
+        self._sim = runtime.platform.sim
+        self._x86 = runtime.platform.x86.cpu
         self.n_processes = n_processes
         self.work_s = work_s
         self.duty = duty
@@ -97,7 +102,7 @@ class BackgroundLoad:
             # whole pool is one self-resubmitting job with n_processes
             # copies, one submit and one callback per round instead of
             # one per worker.
-            x86 = runtime.platform.x86.cpu
+            x86 = self._x86
             work_s = self.work_s
 
             def spin_round(job=None) -> None:
@@ -120,8 +125,8 @@ class BackgroundLoad:
         """One duty-cycled worker: rounds of ``work_s`` in bursts of
         ``slice_s * duty``, each burst followed by a stall of the rest
         of the slice."""
-        sim = self.runtime.platform.sim
-        x86 = self.runtime.platform.x86.cpu
+        sim = self._sim
+        x86 = self._x86
         remaining = self.work_s
 
         def run_burst() -> None:
@@ -183,8 +188,9 @@ class XarTrekRuntime:
         self.early_configure = early_configure
         self.platform = platform or paper_testbed()
         self.metrics = self.platform.metrics
+        sim = self.platform.sim
         self.resilience = ResiliencePolicy(
-            clock=lambda: self.platform.sim.now,
+            clock=lambda: sim.now,
             metrics=self.metrics,
             config=resilience,
         )

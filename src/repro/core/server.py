@@ -242,9 +242,12 @@ class SchedulerServer:
             # A kernel that exhausted its background retry budget while
             # the card was sick must get a fresh budget once the device
             # breaker closes again, or it would stay background-retry-
-            # disabled for the rest of the run.
+            # disabled for the rest of the run. The listener is the
+            # dict's own ``clear`` (so the dict is never rebound), not
+            # a method of this server: the policy must hold no
+            # reference back to its owner.
             self.resilience.add_device_recovery_listener(
-                self._reset_reconfig_retries
+                self._reconfig_retries.clear
             )
 
     # -- lifecycle -----------------------------------------------------------
@@ -519,7 +522,7 @@ class SchedulerServer:
                 # consecutive-failure streak is over — not only this
                 # one's. Clearing all counters re-arms background
                 # retries for kernels that previously hit the limit.
-                self._reset_reconfig_retries()
+                self._reconfig_retries.clear()
                 if self.resilience is not None:
                     self.resilience.record_device_success()
 
@@ -551,8 +554,3 @@ class SchedulerServer:
             self._maybe_reconfigure(kernel_name)
 
         self.platform.sim.defer(config.reconfig_retry_backoff_s, retry)
-
-    def _reset_reconfig_retries(self) -> None:
-        """Re-arm background reconfiguration retries for every kernel
-        (successful programming, or the device breaker closed)."""
-        self._reconfig_retries.clear()

@@ -51,7 +51,11 @@ class WaveLoad:
     ):
         if low < 0 or high < low:
             raise ValueError(f"bad wave bounds [{low}, {high}]")
-        self.runtime = runtime
+        # The simulator and the x86 cluster, not the runtime: a stopped
+        # wave's last step and rounds stay queued, and must not keep
+        # the deployment alive.
+        self._sim = runtime.platform.sim
+        self._x86 = runtime.platform.x86.cpu
         self.low = low
         self.high = high
         self.period_s = period_s
@@ -61,7 +65,7 @@ class WaveLoad:
         self._quota = 0
         self._active = 0
         self._stopped = False
-        self._start = runtime.platform.sim.now
+        self._start = self._sim.now
         self._step()
 
     def target_at(self, t: float) -> int:
@@ -73,7 +77,7 @@ class WaveLoad:
     def _step(self) -> None:
         """The controller: recompute the quota, start workers up to it,
         and come back in ``step_s`` until the frame ends."""
-        sim = self.runtime.platform.sim
+        sim = self._sim
         if self._stopped or sim.now - self._start >= self.duration_s:
             self._quota = 0
             return
@@ -86,7 +90,7 @@ class WaveLoad:
     def _round(self, index: int) -> None:
         """One worker's next MG-B round, unless it is above the quota."""
         if not self._stopped and index <= self._quota:
-            self.runtime.platform.x86.cpu.execute_job(
+            self._x86.execute_job(
                 self.work_s,
                 tag="wave-background",
                 on_complete=lambda _job: self._round(index),

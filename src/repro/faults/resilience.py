@@ -294,14 +294,16 @@ class BreakerState:
             return True
         return False
 
-    def record_success(self) -> None:
+    def record_success(self) -> bool:
+        """Fold in one success; returns True when this call closed an
+        open or half-open breaker (the target recovered)."""
+        self.failures = 0
         if self.state == BreakerState.CLOSED:
-            self.failures = 0
-            return
+            return False
         # A success in half-open (or a stale success racing the open
         # transition) closes the breaker and resets the failure run.
-        self.failures = 0
         self._transition(BreakerState.CLOSED)
+        return True
 
 
 class CircuitBreaker:
@@ -320,15 +322,11 @@ class CircuitBreaker:
         threshold: int,
         cooldown_s: float,
         metrics: Optional[MetricsRegistry] = None,
-        on_open: Optional[Callable[[str], None]] = None,
-        on_close: Optional[Callable[[str], None]] = None,
     ):
         self._clock = clock
         self._threshold = threshold
         self._cooldown_s = cooldown_s
         self._metrics = metrics
-        self._on_open = on_open
-        self._on_close = on_close
         self._states: dict[str, BreakerState] = {}
 
     def _state(self, key: str) -> BreakerState:
@@ -350,23 +348,13 @@ class CircuitBreaker:
 
     def record_failure(self, key: str) -> bool:
         """Returns True when this failure tripped the breaker open."""
-        tripped = self._state(key).record_failure()
-        if tripped and self._on_open is not None:
-            self._on_open(key)
-        return tripped
+        return self._state(key).record_failure()
 
-    def record_success(self, key: str) -> None:
+    def record_success(self, key: str) -> bool:
+        """Returns True when this success closed an open or half-open
+        breaker: the target recovered."""
         state = self._states.get(key)
-        if state is None:
-            return
-        was_closed = state.state == BreakerState.CLOSED
-        state.record_success()
-        if not was_closed and self._on_close is not None:
-            # open/half-open -> closed: the target recovered. Listeners
-            # use this to re-arm machinery that was disabled while the
-            # target was quarantined (e.g. the scheduler's background
-            # reconfiguration retry budget).
-            self._on_close(key)
+        return state is not None and state.record_success()
 
     def state_of(self, key: str) -> str:
         state = self._states.get(key)
@@ -571,8 +559,6 @@ class ResiliencePolicy:
             threshold=self.config.breaker_failure_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
             metrics=metrics,
-            on_open=self._count_quarantine,
-            on_close=self._on_breaker_close,
         )
         # Overload protection is opt-in: without a config the attribute
         # stays None and the scheduler admits everything, exactly as
@@ -583,13 +569,11 @@ class ResiliencePolicy:
             else None
         )
 
-    def _count_quarantine(self, key: str) -> None:
-        self._m_quarantines.labels(target=key).inc()
-
-    def _on_breaker_close(self, key: str) -> None:
-        if key == self.DEVICE_KEY:
-            for listener in self._device_recovery_listeners:
-                listener()
+    def _record_failure(self, key: str) -> bool:
+        tripped = self.breaker.record_failure(key)
+        if tripped:
+            self._m_quarantines.labels(target=key).inc()
+        return tripped
 
     def add_device_recovery_listener(self, listener: Callable[[], None]) -> None:
         """Call ``listener`` whenever the device breaker closes again
@@ -627,7 +611,7 @@ class ResiliencePolicy:
         return self.breaker.allow(self.kernel_key(kernel))
 
     def record_kernel_failure(self, kernel: str) -> bool:
-        return self.breaker.record_failure(self.kernel_key(kernel))
+        return self._record_failure(self.kernel_key(kernel))
 
     def record_kernel_success(self, kernel: str) -> None:
         self.breaker.record_success(self.kernel_key(kernel))
@@ -637,10 +621,14 @@ class ResiliencePolicy:
         return self.breaker.allow(self.DEVICE_KEY)
 
     def record_device_failure(self) -> bool:
-        return self.breaker.record_failure(self.DEVICE_KEY)
+        return self._record_failure(self.DEVICE_KEY)
 
     def record_device_success(self) -> None:
-        self.breaker.record_success(self.DEVICE_KEY)
+        if self.breaker.record_success(self.DEVICE_KEY):
+            # open/half-open -> closed: re-arm what was disabled while
+            # the card was quarantined.
+            for listener in self._device_recovery_listeners:
+                listener()
 
     # -- summary ------------------------------------------------------------
     def summary(self) -> dict:

@@ -188,7 +188,7 @@ class FleetDeployment:
         """Extra keyword arguments (``resilience``, ``policy``, ...)
         are forwarded to every node's :class:`XarTrekRuntime`."""
         self.config = config
-        self.sim = Simulator()
+        self.sim = sim = Simulator()
         self.seeds = node_seeds(config.seed, config.nodes)
         self.nodes: list[FleetNode] = []
         for index, seed in enumerate(self.seeds):
@@ -208,7 +208,7 @@ class FleetDeployment:
         #: single-node twin; fleet counters live up here).
         self._streams = RandomStreams(config.seed).spawn("fleet")
         self.metrics = MetricsRegistry(
-            clock=lambda: self.sim.now, rng=self._streams.spawn("metrics")
+            clock=lambda: sim.now, rng=self._streams.spawn("metrics")
         )
         self.fabric = Link(self.sim, DATACENTER_FABRIC)
         self.dsm = DSM(self.sim, self.fabric)

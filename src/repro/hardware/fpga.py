@@ -268,6 +268,11 @@ class FPGADevice:
         self.crash_count += 1
         self.tracer.record("fpga", f"{self.spec.name}: device CRASHED")
         self._image = None
+        # The dropped units' queued invocations fail below through
+        # _inflight_execs; their continuations hold the unit and this
+        # device, so clear them rather than leave them queued.
+        for cu in self._compute_units.values():
+            cu.waiting.clear()
         self._compute_units = {}
         if self._reconfig_done is not None:
             done = self._reconfig_done

@@ -45,15 +45,18 @@ class HeterogeneousPlatform:
         seed: int = 0,
         trace: bool = False,
     ):
-        self.sim = sim or Simulator()
+        self.sim = sim = sim or Simulator()
         self.tracer = Tracer(enabled=trace)
-        self.tracer.bind_clock(lambda: self.sim.now)
+        # Clocks close over the simulator, never over the platform: the
+        # tracer and every metric keep theirs, so a clock that held the
+        # platform would make the whole deployment a reference cycle.
+        self.tracer.bind_clock(lambda: sim.now)
         self.rng = RandomStreams(seed)
         #: The shared telemetry spine: every component attached to this
         #: platform records into the same registry, timestamped by the
         #: simulated clock and seeded by the platform RNG family.
         self.metrics = MetricsRegistry(
-            clock=lambda: self.sim.now, rng=self.rng.spawn("metrics")
+            clock=lambda: sim.now, rng=self.rng.spawn("metrics")
         )
 
         self.ethernet = Link(self.sim, ethernet_spec, tracer=self.tracer)

@@ -185,8 +185,10 @@ class PeriodicCall:
 
     def cancel(self) -> None:
         """Stop ticking. The already-armed next tick becomes a no-op
-        (its heap entry fires but does nothing)."""
+        (its heap entry fires but does nothing). ``fn`` is dropped, so
+        that queued tick keeps nothing of ``fn``'s owner alive."""
         self._cancelled = True
+        self.fn = None
 
     def _tick(self) -> None:
         if self._cancelled:

@@ -77,7 +77,7 @@ class XRTDevice:
         #: In-flight kernel executions (the scheduler must not
         #: reconfigure under a running kernel).
         self.active_runs = 0
-        self.completed_runs: list[KernelRun] = []
+        self.completed_runs = 0
         self.failed_runs = 0
         self._fail_next_runs: dict[str, int] = {}
         self.metrics = metrics or MetricsRegistry(clock=lambda: sim.now)
@@ -293,7 +293,7 @@ class XRTDevice:
                 started_at=started,
                 finished_at=sim.now,
             )
-            self.completed_runs.append(run)
+            self.completed_runs += 1
             hist = self._run_hist_children.get(kernel_name)
             if hist is None:
                 hist = self._run_hist_children[kernel_name] = (

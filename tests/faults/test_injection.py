@@ -140,6 +140,24 @@ class TestDeviceCrash:
         assert isinstance(done.value, XRTError)
         assert runtime.xrt.active_runs == 0  # no leaked occupancy
 
+    def test_crash_fails_and_drops_queued_invocations(self):
+        runtime = build_system(["digit.2000"])
+        sim, fpga = runtime.platform.sim, runtime.platform.fpga
+        sim.run_until_event(runtime.preload_fpga())
+        runs = [runtime.xrt.run_kernel(KERNEL, 0, 0, duration=1.0) for _ in range(4)]
+        for done in runs:
+            done.defused = True
+        unit = fpga._compute_units[KERNEL]
+        assert unit.capacity == 1
+        assert fpga.queue_length(KERNEL) == 3  # three wait behind the running one
+        sim.defer(0.1, fpga.crash)
+        sim.run()
+        assert all(not done.ok for done in runs)
+        assert all(isinstance(done.value, XRTError) for done in runs)
+        assert runtime.xrt.active_runs == 0
+        # The dropped unit keeps no continuation of a failed invocation.
+        assert len(unit.waiting) == 0
+
 
 class TestXRTRunFaults:
     def test_injected_run_fault_fails_event(self):

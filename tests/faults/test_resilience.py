@@ -132,14 +132,27 @@ class TestCircuitBreaker:
         assert breaker.allow("kernel:k1")
         assert breaker.states() == {}
 
-    def test_on_open_callback_fires_per_trip(self):
+    def test_record_failure_returns_true_per_trip(self):
         clock = Clock()
-        opened = []
-        breaker = CircuitBreaker(
-            clock, threshold=1, cooldown_s=1.0, on_open=opened.append
-        )
+        breaker = CircuitBreaker(clock, threshold=1, cooldown_s=1.0)
+        assert breaker.record_failure("kernel:k1") is True
+        assert breaker.record_failure("kernel:k1") is False  # already open
+        clock.now = 1.0
+        assert breaker.allow("kernel:k1")  # open -> half-open
+        assert breaker.record_failure("kernel:k1") is True  # trial failed
+
+    def test_record_success_returns_true_exactly_on_close(self):
+        clock = Clock()
+        breaker = CircuitBreaker(clock, threshold=1, cooldown_s=1.0)
+        assert breaker.record_success("kernel:k1") is False  # no state yet
         breaker.record_failure("kernel:k1")
-        assert opened == ["kernel:k1"]
+        assert breaker.record_success("kernel:k1") is True  # open -> closed
+        assert breaker.record_success("kernel:k1") is False  # already closed
+        breaker.record_failure("kernel:k1")
+        clock.now = 1.0
+        assert breaker.allow("kernel:k1")  # open -> half-open
+        assert breaker.record_success("kernel:k1") is True  # half-open -> closed
+        assert breaker.state_of("kernel:k1") == BreakerState.CLOSED
 
     def test_gauge_series_bound_lazily(self):
         clock = Clock()
@@ -172,6 +185,24 @@ class TestResiliencePolicy:
         policy.record_kernel_failure("k1")
         assert not policy.allow_kernel("k1")
         assert metrics.get("quarantines_total").value == 1
+
+    def test_recovery_listeners_run_once_per_device_close(self):
+        clock, metrics, policy = self._policy(
+            breaker_failure_threshold=1, breaker_cooldown_s=1.0
+        )
+        recovered = []
+        policy.add_device_recovery_listener(lambda: recovered.append(clock.now))
+        policy.record_device_success()  # closed: nothing to recover from
+        assert policy.record_device_failure() is True
+        assert metrics.get("quarantines_total").value == 1
+        clock.now = 1.0
+        assert policy.allow_device()  # open -> half-open
+        policy.record_device_success()
+        policy.record_device_success()  # closed again: no second call
+        policy.record_kernel_failure("k1")
+        policy.record_kernel_success("k1")  # a kernel close is not the device's
+        assert recovered == [1.0]
+        assert metrics.get("quarantines_total").value == 2
 
     def test_device_breaker_is_separate_from_kernels(self):
         _clock, _metrics, policy = self._policy(breaker_failure_threshold=1)

@@ -1,5 +1,7 @@
 """PeriodicCall / Simulator.call_every (the gossip tick primitive)."""
 
+import weakref
+
 import pytest
 
 from repro.sim import PeriodicCall, SimulationError, Simulator
@@ -33,6 +35,23 @@ class TestPeriodicCall:
         sim.run()  # the already-queued tick must not fire; queue drains
         assert times == [1.0, 2.0]
         assert timer.ticks == 2
+
+    def test_cancelled_tick_keeps_no_reference_to_fn(self):
+        class Owner:
+            def tick(self):
+                pass
+
+        sim = Simulator()
+        owner = Owner()
+        timer = sim.call_every(1.0, owner.tick)
+        sim.run(until=1.5)
+        timer.cancel()
+        assert sim.peek() == 2.0  # the armed tick is still queued
+        alive = weakref.ref(owner)
+        del owner
+        assert alive() is None
+        sim.run()
+        assert timer.ticks == 1
 
     def test_cancel_from_inside_the_callback(self):
         sim = Simulator()

@@ -82,7 +82,7 @@ class TestKernelRuns:
         assert run.kernel_name == "k1"
         assert run.duration == pytest.approx(sim.now - start)
         assert sim.now - start > 0.25  # kernel latency + transfers
-        assert xrt.completed_runs == [run]
+        assert xrt.completed_runs == 1
         assert xrt.active_runs == 0
 
     def test_duration_override(self):
