@@ -145,7 +145,7 @@ class ApplicationRun:
         self._reply_pending: Optional[Event] = None
         self._fpga_attempt = 0
         self._popcorn: Optional[PopcornRuntime] = None
-        self._resilience_policy = None
+        self._resilience = runtime.resilience
         #: End-to-end per-call latency: target selection (scheduler
         #: round-trip under Xar-Trek) + function execution wherever it
         #: ran, labeled by the target that actually served the call.
@@ -168,25 +168,27 @@ class ApplicationRun:
             )
 
     # -- public API ------------------------------------------------------------
-    def start(self) -> Event:
-        """Launch now; the returned event fires with the final RunRecord.
+    def start(self, delay_s: float = 0.0) -> Event:
+        """Start the run ``delay_s`` simulated seconds from now; the
+        returned event fires with the final RunRecord.
+
+        The run's first step takes the ``(time, seq)`` slot that this
+        call queues, so it runs before anything queued later for the
+        same instant, whatever the delay; the generator reference
+        (tests/core/client_path_reference.py) boots in that slot too. A
+        negative or NaN delay raises
+        :class:`~repro.sim.SimulationError`.
 
         The run's lifecycle — host work, per-call decide/dispatch,
         Algorithm 1 at exit — is a fixed state machine, driven as a
         precompiled callback chain (``_chain_begin`` and friends): bound
         continuations instead of a generator send/yield trampoline and
         most of its intermediate events. The generator process the chain
-        was compiled from lives in tests/core/client_path_reference.py
-        as its differential reference.
+        was compiled from is its differential reference.
         """
         sim = self.runtime.platform.sim
-        self._resilience_policy = getattr(self.runtime, "resilience", None)
-        done = Event(sim)
-        self._done = done
-        # Same (time, seq) slot as the generator's bootstrap event, so
-        # the first instruction of the run executes at the identical
-        # point in the global event order under either path.
-        sim.defer(0.0, self._chain_begin)
+        done = self._done = Event(sim)
+        sim.defer(delay_s, self._chain_begin)
         return done
 
     def _run_functional(self) -> None:
@@ -229,25 +231,9 @@ class ApplicationRun:
         """The deadline passed with calls still owed: the session exits
         early and is accounted as shed, not completed."""
         self.record.shed_reason = "deadline_expired"
-        resilience = self._resilience()
-        guard = (
-            getattr(resilience, "overload", None)
-            if resilience is not None
-            else None
-        )
+        guard = self._resilience.overload
         if guard is not None:
             guard.count_shed("deadline_expired")
-
-    def _resilience(self):
-        policy = self._resilience_policy
-        if policy is None:
-            policy = self._resilience_policy = getattr(self.runtime, "resilience", None)
-        return policy
-
-    def _count_fallback(self, reason: str) -> None:
-        resilience = self._resilience()
-        if resilience is not None:
-            resilience.count_fallback(reason)
 
     # -- migration state plumbing -------------------------------------------------
     def _ensure_thread(self, popcorn: PopcornRuntime) -> PopcornThread:
@@ -341,11 +327,7 @@ class ApplicationRun:
             self.record.start_s = platform.now
             if self.functional:
                 self._run_functional()
-            if (
-                self.mode is SystemMode.XAR_TREK
-                and runtime.server is not None
-                and getattr(runtime, "early_configure", True)
-            ):
+            if self.mode is SystemMode.XAR_TREK and runtime.early_configure:
                 runtime.server.preconfigure(self.app.name)
             self._calls_left = profile.calls_per_run
             if self.mode is SystemMode.VANILLA_ARM:
@@ -443,10 +425,7 @@ class ApplicationRun:
                 )
                 return
             # XAR_TREK: ask the scheduler, racing a client-side timeout.
-            resilience = self._resilience()
-            timeout_s = (
-                resilience.config.request_timeout_s if resilience is not None else None
-            )
+            timeout_s = self._resilience.config.request_timeout_s
             try:
                 reply = self.runtime.server.request(
                     self.app.name, deadline_at=self._deadline_at()
@@ -458,7 +437,7 @@ class ApplicationRun:
                 self._chain_finish()
                 return
             except SchedulerUnavailable:
-                self._count_fallback("scheduler_down")
+                self._resilience.count_fallback("scheduler_down")
                 self._dispatch(Target.X86)
                 return
             self._reply_pending = reply
@@ -495,7 +474,7 @@ class ApplicationRun:
                 self._dispatch(reply._value)
             elif isinstance(reply._value, SchedulerUnavailable):
                 # The daemon went down with our request queued.
-                self._count_fallback("scheduler_down")
+                self._resilience.count_fallback("scheduler_down")
                 self._dispatch(Target.X86)
             else:
                 self._chain_fail(reply._value)
@@ -516,7 +495,7 @@ class ApplicationRun:
             if reply.triggered and reply._ok:
                 self._dispatch(reply._value)
             else:
-                self._count_fallback("scheduler_timeout")
+                self._resilience.count_fallback("scheduler_timeout")
                 self._dispatch(Target.X86)
         except BaseException as exc:
             self._chain_fail(exc)
@@ -550,7 +529,7 @@ class ApplicationRun:
 
     def _chain_fallback(self, reason: str) -> None:
         self.record.fpga_fallbacks += 1
-        self._count_fallback(reason)
+        self._resilience.count_fallback(reason)
         self.runtime.platform.x86.cpu.execute_job(
             self.profile.func_x86_s, tag=self.app.name, on_complete=self._x86_func_done
         )
@@ -560,8 +539,7 @@ class ApplicationRun:
         try:
             xrt = self.runtime.xrt
             kernel = self.profile.kernel_name
-            resilience = self._resilience()
-            if resilience is not None and not resilience.allow_kernel(kernel):
+            if not self._resilience.allow_kernel(kernel):
                 self._chain_fallback("quarantined")
                 return
             if not xrt.has_kernel(kernel):
@@ -633,9 +611,7 @@ class ApplicationRun:
     def _fpga_run_done(self, ev: Event) -> None:
         try:
             if ev._ok:
-                resilience = self._resilience()
-                if resilience is not None:
-                    resilience.record_kernel_success(self.profile.kernel_name)
+                self._resilience.record_kernel_success(self.profile.kernel_name)
                 self.record.targets.append(Target.FPGA)
                 self._finish_call()
                 return
@@ -649,22 +625,20 @@ class ApplicationRun:
     def _fpga_run_failed(self) -> None:
         try:
             kernel = self.profile.kernel_name
-            resilience = self._resilience()
-            if resilience is not None:
-                resilience.record_kernel_failure(kernel)
-                config = resilience.config
-                xrt = self.runtime.xrt
-                if (
-                    self._fpga_attempt < config.kernel_retry_limit
-                    and xrt.has_kernel(kernel)
-                    and resilience.allow_kernel(kernel)
-                ):
-                    self.record.retries += 1
-                    resilience.count_retry(kernel)
-                    self.runtime.platform.sim.defer(
-                        config.backoff_s(self._fpga_attempt), self._fpga_retry
-                    )
-                    return
+            resilience = self._resilience
+            resilience.record_kernel_failure(kernel)
+            config = resilience.config
+            if (
+                self._fpga_attempt < config.kernel_retry_limit
+                and self.runtime.xrt.has_kernel(kernel)
+                and resilience.allow_kernel(kernel)
+            ):
+                self.record.retries += 1
+                resilience.count_retry(kernel)
+                self.runtime.platform.sim.defer(
+                    config.backoff_s(self._fpga_attempt), self._fpga_retry
+                )
+                return
             self._chain_fallback("kernel_fault")
         except BaseException as exc:
             self._chain_fail(exc)
@@ -673,7 +647,7 @@ class ApplicationRun:
         try:
             self._fpga_attempt += 1
             kernel = self.profile.kernel_name
-            resilience = self._resilience()
+            resilience = self._resilience
             # The device may have crashed or been quarantined during
             # the backoff.
             if self.runtime.xrt.has_kernel(kernel) and resilience.allow_kernel(kernel):

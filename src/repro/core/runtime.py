@@ -235,7 +235,6 @@ class XarTrekRuntime:
                 for image in result.xclbins.values()
                 for kernel in image.kernel_names
             },
-            tracer=self.platform.tracer,
             policy=policy,
             resilience=self.resilience,
         )
@@ -281,36 +280,18 @@ class XarTrekRuntime:
     ) -> Event:
         """Start one application run; the event fires with its RunRecord.
 
-        ``calls`` overrides the profile's calls-per-run (the modified
-        multi-image face detection of Section 4.2); ``deadline_s`` stops
-        issuing calls after a wall-clock budget (the 60 s throughput
-        window).
+        ``delay_s`` is how many simulated seconds from now the run
+        starts (see :meth:`ApplicationRun.start`); a negative or NaN
+        delay raises :class:`~repro.sim.SimulationError`. ``calls``
+        overrides the profile's calls-per-run (the modified multi-image
+        face detection of Section 4.2); ``deadline_s`` stops issuing
+        calls after a wall-clock budget (the 60 s throughput window).
         """
         app = self.result.application(app_name)
-        run = ApplicationRun(
+        return ApplicationRun(
             self, app, seed=seed, mode=mode, deadline_s=deadline_s,
             functional=functional, calls=calls,
-        )
-        if delay_s <= 0:
-            return run.start()
-        done = self.platform.sim.event()
-
-        def forward(ev: Event) -> None:
-            if ev.ok:
-                done.succeed(ev.value)
-            else:
-                done.fail(ev.value)
-
-        def kick() -> None:
-            inner = run.start()
-            # The caller only holds `done`; a failed run must propagate
-            # through it, not re-raise out of the inner event's
-            # _process and crash the whole simulation.
-            inner.defused = True
-            inner.callbacks.append(forward)
-
-        self.platform.sim.defer(delay_s, kick)
-        return done
+        ).start(delay_s)
 
     def run_cohorts(
         self,

@@ -22,7 +22,7 @@ from typing import Any, Optional
 from repro.core.policy import Decision, decide
 from repro.hardware.platform import HeterogeneousPlatform
 from repro.metrics import MetricsRegistry
-from repro.sim import Event, Tracer
+from repro.sim import Event
 from repro.thresholds import ThresholdTable
 from repro.types import Target
 from repro.xrt import XRTDevice
@@ -192,27 +192,26 @@ class SchedulerServer:
         xrt: XRTDevice,
         thresholds: ThresholdTable,
         kernel_images: dict[str, object],
-        socket_latency_s: float = DEFAULT_SOCKET_LATENCY_S,
-        tracer: Optional[Tracer] = None,
+        resilience,
         policy=None,
-        resilience=None,
     ):
         """``kernel_images`` maps hardware-kernel name -> XCLBIN image.
 
+        ``resilience`` (the deployment's
+        :class:`~repro.faults.resilience.ResiliencePolicy`) steers
+        decisions away from quarantined targets, bounds background
+        reconfiguration retries and holds the overload guard, if any.
         ``policy`` swaps the decision function (default: the paper's
         Algorithm 2, :func:`repro.core.policy.decide`); see
-        :mod:`repro.core.policies` for alternatives. ``resilience`` (a
-        :class:`~repro.faults.resilience.ResiliencePolicy`) steers
-        decisions away from quarantined targets and bounds background
-        reconfiguration retries.
+        :mod:`repro.core.policies` for alternatives.
         """
         self.platform = platform
         self.xrt = xrt
         self.thresholds = thresholds
         self.policy = policy or decide
         self.kernel_images = dict(kernel_images)
-        self.socket_latency_s = socket_latency_s
-        self.tracer = tracer or platform.tracer
+        self.socket_latency_s = DEFAULT_SOCKET_LATENCY_S
+        self.tracer = platform.tracer
         self.metrics = platform.metrics
         self.resilience = resilience
         self.stats = ServerStats(self.metrics)
@@ -238,17 +237,13 @@ class SchedulerServer:
         #: kernel, bounding the retry chain (reset on any successful
         #: programming outcome and on device-breaker recovery).
         self._reconfig_retries: dict[str, int] = {}
-        if self.resilience is not None:
-            # A kernel that exhausted its background retry budget while
-            # the card was sick must get a fresh budget once the device
-            # breaker closes again, or it would stay background-retry-
-            # disabled for the rest of the run. The listener is the
-            # dict's own ``clear`` (so the dict is never rebound), not
-            # a method of this server: the policy must hold no
-            # reference back to its owner.
-            self.resilience.add_device_recovery_listener(
-                self._reconfig_retries.clear
-            )
+        # A kernel that exhausted its background retry budget while the
+        # card was sick must get a fresh budget once the device breaker
+        # closes again, or it would stay background-retry-disabled for
+        # the rest of the run. The listener is the dict's own ``clear``
+        # (so the dict is never rebound), not a method of this server:
+        # the policy must hold no reference back to its owner.
+        resilience.add_device_recovery_listener(self._reconfig_retries.clear)
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -350,7 +345,7 @@ class SchedulerServer:
                 "should fall back to a local x86 decision"
             )
         sim = self.platform.sim
-        guard = self._overload_guard()
+        guard = self.resilience.overload
         if guard is not None:
             guard.update(self.platform.x86_load + 1)
             # Two socket hops plus one hop of headroom per request
@@ -389,17 +384,11 @@ class SchedulerServer:
             self._pending.append((app_name, reply))
         return reply
 
-    def _overload_guard(self):
-        """The resilience policy's :class:`OverloadGuard`, if any."""
-        if self.resilience is None:
-            return None
-        return getattr(self.resilience, "overload", None)
-
     def admission_snapshot(self) -> dict[str, float]:
         """The backpressure view gossiped in a fleet's
         :class:`~repro.fleet.gossip.LoadDigest`: admission queue depth
         plus the brownout rung (0 when unprotected)."""
-        guard = self._overload_guard()
+        guard = self.resilience.overload
         if guard is None:
             return {"queue_depth": 0.0, "brownout": 0.0}
         return guard.snapshot()
@@ -430,7 +419,7 @@ class SchedulerServer:
         # executes the scheduler-client call, so it counts toward the
         # x86 CPU load even though it holds no compute job right now.
         load = self.platform.x86_load + 1
-        guard = self._overload_guard()
+        guard = self.resilience.overload
         if guard is not None:
             guard.update(load)
             if guard.x86_only:
@@ -455,7 +444,7 @@ class SchedulerServer:
                     )
                 return decision
         available = bool(entry.kernel_name) and self.xrt.has_kernel(entry.kernel_name)
-        if available and self.resilience is not None:
+        if available:
             # A quarantined kernel is treated as absent: Algorithm 2
             # steers the call to a CPU target until the breaker's
             # cooldown admits a half-open trial.
@@ -487,7 +476,7 @@ class SchedulerServer:
         image = self.kernel_images.get(kernel_name)
         if image is None:
             return
-        if self.resilience is not None and not self.resilience.allow_device():
+        if not self.resilience.allow_device():
             # The card itself is quarantined (crashed / repeatedly
             # failed to program): don't burn a reconfiguration slot.
             self.stats._reconf_skipped.inc()
@@ -514,17 +503,15 @@ class SchedulerServer:
                     "on the next request",
                     image=image.name,
                 )
-                if self.resilience is not None:
-                    self.resilience.record_device_failure()
-                    self._schedule_reconfig_retry(kernel_name)
+                self.resilience.record_device_failure()
+                self._schedule_reconfig_retry(kernel_name)
             else:
                 # The card just programmed fine, so every kernel's
                 # consecutive-failure streak is over — not only this
                 # one's. Clearing all counters re-arms background
                 # retries for kernels that previously hit the limit.
                 self._reconfig_retries.clear()
-                if self.resilience is not None:
-                    self.resilience.record_device_success()
+                self.resilience.record_device_success()
 
         done.callbacks.append(on_outcome)
 

@@ -263,12 +263,14 @@ class FleetDeployment:
         Routing happens when the client *starts* (after ``delay_s``),
         not when this call is made — a staggered client must be placed
         against the gossip state of its start time, or every client of
-        a wave would herd onto the round-0 view.
+        a wave would herd onto the round-0 view. A negative or NaN
+        ``delay_s`` raises :class:`~repro.sim.SimulationError`, as it
+        does for :meth:`XarTrekRuntime.launch`.
         """
         if client is None:
             client = f"anon{self._auto_clients}"
             self._auto_clients += 1
-        if delay_s <= 0:
+        if delay_s == 0:
             node, _outcome = self.router.route(client, app_name)
             return node.runtime.launch(app_name, **launch_options)
         done = self.sim.event()

@@ -17,7 +17,7 @@ from repro.popcorn.binary import MultiISABinary
 from repro.popcorn.dsm import DSM
 from repro.popcorn.migration_points import LivenessMetadata
 from repro.popcorn.state import MachineState, StateTransformer, TransformError
-from repro.sim import Event, Tracer
+from repro.sim import Event
 from repro.types import Target
 
 __all__ = ["PopcornThread", "PopcornRuntime", "MigrationError"]
@@ -52,12 +52,11 @@ class PopcornRuntime:
         platform: HeterogeneousPlatform,
         metadata: LivenessMetadata,
         dsm: Optional[DSM] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.platform = platform
         self.transformer = StateTransformer(metadata)
         self.dsm = dsm
-        self.tracer = tracer or platform.tracer
+        self.tracer = platform.tracer
         self._next_thread_id = 1
         #: Transform memo shared by every thread on this runtime:
         #: ``{(id(source_state), to_isa): (source_state, result_state,

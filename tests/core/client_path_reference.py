@@ -28,9 +28,8 @@ from tests.core.process_reference import any_of, spawn, timeout
 class GeneratorRun(ApplicationRun):
     """An ``ApplicationRun`` whose lifecycle is one generator process."""
 
-    def start(self) -> Event:
-        self._resilience_policy = getattr(self.runtime, "resilience", None)
-        return spawn(self.runtime.platform.sim, self._body())
+    def start(self, delay_s: float = 0.0) -> Event:
+        return spawn(self.runtime.platform.sim, self._body(), delay_s)
 
     # -- the instrumented main() -------------------------------------------------
     def _body(self):
@@ -120,7 +119,7 @@ class GeneratorRun(ApplicationRun):
             return Target.FPGA if self.profile.fpga_capable else Target.X86
         assert self.mode is SystemMode.XAR_TREK
         sim = self.runtime.platform.sim
-        resilience = self._resilience()
+        resilience = self._resilience
         timeout_s = (
             resilience.config.request_timeout_s if resilience is not None else None
         )
@@ -136,7 +135,7 @@ class GeneratorRun(ApplicationRun):
             return None
         except SchedulerUnavailable:
             # Daemon down before we could even enqueue: decide locally.
-            self._count_fallback("scheduler_down")
+            self._resilience.count_fallback("scheduler_down")
             return Target.X86
         if timeout_s is None:
             target = yield reply
@@ -148,13 +147,13 @@ class GeneratorRun(ApplicationRun):
             yield any_of(sim, [reply, timeout(sim, timeout_s)])
         except SchedulerUnavailable:
             # The daemon went down with our request queued.
-            self._count_fallback("scheduler_down")
+            self._resilience.count_fallback("scheduler_down")
             return Target.X86
         if reply.triggered and reply.ok:
             return reply.value
         # No reply within the budget (daemon hung or slow): serve the
         # call locally on x86 — correct, just not accelerated.
-        self._count_fallback("scheduler_timeout")
+        self._resilience.count_fallback("scheduler_timeout")
         return Target.X86
 
     # -- function execution per target -----------------------------------------
@@ -176,7 +175,7 @@ class GeneratorRun(ApplicationRun):
         latency differs. ``reason`` labels ``fallbacks_total``.
         """
         self.record.fpga_fallbacks += 1
-        self._count_fallback(reason)
+        self._resilience.count_fallback(reason)
         yield self.runtime.platform.x86.cpu.execute(
             self.profile.func_x86_s, tag=self.app.name
         )
@@ -185,7 +184,7 @@ class GeneratorRun(ApplicationRun):
     def _execute_fpga(self):
         xrt = self.runtime.xrt
         kernel = self.profile.kernel_name
-        resilience = self._resilience()
+        resilience = self._resilience
         if resilience is not None and not resilience.allow_kernel(kernel):
             # Quarantined (mostly reachable in ALWAYS_FPGA mode — under
             # Xar-Trek the scheduler already steered away).

@@ -6,7 +6,8 @@ cohort model (``cohort_reference.ReferencePopulation``), the page-by-page
 DSM protocol and the engine tests still write their reference logic as
 processes, so the process machinery lives here:
 
-* :func:`spawn` starts a :class:`Process` from a generator. The process
+* :func:`spawn` starts a :class:`Process` from a generator, at once or
+  after a delay (the boot takes the slot ``spawn`` queues). The process
   yields :class:`~repro.sim.Event` objects and resumes when the yielded
   event is processed, receiving its value at the yield point (or its
   exception thrown in, if it failed).
@@ -67,9 +68,9 @@ def timeout(sim: Simulator, delay: float, value: Any = None) -> Event:
     return _Timeout(sim, delay, value)
 
 
-def spawn(sim: Simulator, generator) -> "Process":
-    """Start a new process from a generator."""
-    return Process(sim, generator)
+def spawn(sim: Simulator, generator, delay: float = 0.0) -> "Process":
+    """Start a new process from a generator, ``delay`` from now."""
+    return Process(sim, generator, delay)
 
 
 def all_of(sim: Simulator, events: Iterable[Event]) -> Event:
@@ -89,14 +90,16 @@ class Process(Event):
 
     __slots__ = ("generator", "_waiting_on")
 
-    def __init__(self, sim: Simulator, generator: Generator[Event, Any, Any]):
+    def __init__(
+        self, sim: Simulator, generator: Generator[Event, Any, Any], delay: float = 0.0
+    ):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"Process needs a generator, got {generator!r}")
         super().__init__(sim)
         self.generator = generator
         self._waiting_on: Event | None = None
-        # Bootstrap: resume for the first time at the current instant.
-        sim.defer(0.0, self._boot)
+        # Bootstrap: resume for the first time ``delay`` from now.
+        sim.defer(delay, self._boot)
 
     def _boot(self) -> None:
         self._step(None, as_exception=False)

@@ -12,6 +12,8 @@ records, the same metrics snapshot, and the same threshold table.
 
 import math
 
+import pytest
+
 import repro.core.runtime
 from repro.core import SystemMode, build_system
 from repro.core.application import ApplicationRun
@@ -60,15 +62,16 @@ def _run(monkeypatch, path, launches, *, background=10, plan=None, **options):
 
 
 def _mixed_launches(*, deadline=False, modes=None):
-    """One seeded mixed workload: 24 staggered clients over the apps."""
+    """One seeded mixed workload: 28 staggered clients over the apps,
+    the last four starting at one instant."""
     modes = modes or [SystemMode.XAR_TREK]
     launches = []
-    for index in range(24):
+    for index in range(28):
         kwargs = dict(
             seed=300 + index,
             mode=modes[index % len(modes)],
             calls=1 + index % 3,
-            delay_s=0.35 * index,
+            delay_s=0.35 * min(index, 24),
         )
         if deadline and index % 5 == 0:
             kwargs["deadline_s"] = 2.0
@@ -206,6 +209,29 @@ class TestFaultAndOverloadArcs:
         )
         shed = {rec.shed_reason for rec in records}
         assert {"brownout", "deadline", None} <= shed
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_delayed_run_starts_in_the_slot_its_launch_queued(monkeypatch, path):
+    # The run's first step configures the FPGA early, so a probe queued
+    # for the start instant before the launch sees the card idle and
+    # one queued after it sees the reconfiguration under way.
+    monkeypatch.setattr(repro.core.runtime, "ApplicationRun", PATHS[path])
+    runtime = build_system(["digit.500"])
+    sim = runtime.platform.sim
+    sim.run()  # the daemon is online and the deployment idle
+    start = sim.now + 1.0
+    seen = []
+
+    def probe():
+        seen.append(runtime.xrt.reconfiguring)
+
+    sim.call_at(start, probe)
+    run = runtime.launch("digit.500", calls=1, delay_s=1.0)
+    sim.call_at(start, probe)
+    record = sim.run_until_event(run)
+    assert seen == [False, True]
+    assert record.start_s == start
 
 
 def test_chain_completes_every_run(monkeypatch):

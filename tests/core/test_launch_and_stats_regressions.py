@@ -1,4 +1,5 @@
-"""Regression tests: delayed-launch failure propagation and ServerStats wiring."""
+"""Regression tests: delayed-launch failure propagation, the launch
+delay rule and ServerStats wiring."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.core import SystemMode, build_system
 from repro.core.application import ApplicationRun
 from repro.core.server import ServerStats
 from repro.metrics import MetricsRegistry
+from repro.sim import SimulationError
 
 
 def _break_x86_run(monkeypatch):
@@ -20,10 +22,11 @@ def _break_x86_run(monkeypatch):
 
 class TestDelayedLaunchFailurePropagation:
     def test_failure_propagates_through_done_event(self, monkeypatch):
-        # Regression: launch(..., delay_s>0) wraps the inner run.start()
-        # event but never defused it, so a failing run re-raised out of
-        # the inner event's _process and crashed the whole simulation
-        # instead of reaching the caller through the returned event.
+        # Regression: launch(..., delay_s>0) once wrapped the inner
+        # run.start() event without defusing it, so a failing run
+        # re-raised out of the inner event's _process and crashed the
+        # whole simulation instead of reaching the caller through the
+        # returned event.
         _break_x86_run(monkeypatch)
         runtime = build_system(["digit.500"])
         failed = runtime.launch(
@@ -50,6 +53,15 @@ class TestDelayedLaunchFailurePropagation:
         record = runtime.platform.sim.run_until_event(ok)
         assert record.finished
         assert record.app == "digit.500"
+
+
+def test_a_negative_delay_is_refused():
+    # A start time in the past is the caller's error, not "start now".
+    runtime = build_system(["digit.500"])
+    with pytest.raises(SimulationError, match="delay"):
+        runtime.launch("digit.500", delay_s=-1.0)
+    runtime.platform.sim.run()
+    assert runtime.records == []
 
 
 class TestServerStatsRegistry:

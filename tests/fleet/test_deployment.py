@@ -6,6 +6,7 @@ import pytest
 from repro.core import SystemMode
 from repro.core.cohort import ArrivalLaw, CohortSpec
 from repro.fleet import FleetConfig, FleetDeployment, FleetError, node_seeds
+from repro.sim import SimulationError
 
 pytestmark = pytest.mark.metrics
 
@@ -69,6 +70,13 @@ class TestDeployment:
         assert sum(fleet.router.clients_per_node()) == 6
         # Staggered clients spread out instead of herding onto node0.
         assert max(fleet.router.clients_per_node()) < 6
+
+    def test_a_negative_delay_is_refused(self):
+        # Refused before routing: no node takes the client.
+        fleet = FleetDeployment(FleetConfig(nodes=2, apps=APPS, seed=5))
+        with pytest.raises(SimulationError, match="delay"):
+            fleet.launch("digit.2000", client="c0", delay_s=-1.0)
+        assert sum(fleet.router.clients_per_node()) == 0
 
     def test_stop_cancels_the_gossip_tick_so_the_sim_drains(self):
         fleet = FleetDeployment(FleetConfig(nodes=2, apps=APPS, seed=5))
