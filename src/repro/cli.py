@@ -94,6 +94,17 @@ def _float_where(holds, expected: str):
     return parse
 
 
+def _output_file(text: str) -> str:
+    """An argparse type: a file path in a directory that exists, so a
+    bad output path is a usage error before the run, not after it."""
+    directory = os.path.dirname(text) or os.curdir
+    if not text or not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"expected a file in an existing directory, got {text!r}"
+        )
+    return text
+
+
 _positive_float = _float_where(lambda value: value > 0, "a number > 0")
 _non_negative_float = _float_where(lambda value: value >= 0, "a number >= 0")
 _fraction = _float_where(lambda value: 0 <= value <= 1, "a number in [0, 1]")
@@ -163,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--functional", action="store_true",
                      help="also execute the real kernel and verify")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--timeline", default=None, metavar="FILE",
+    run.add_argument("--timeline", type=_output_file, default=None, metavar="FILE",
                      help="write a CSV timeline of the run (.json for JSON)")
 
     report = sub.add_parser(
@@ -197,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--quick", action="store_true",
                        help="reduced fleet for CI smoke runs")
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--json", default=None, metavar="FILE",
+    chaos.add_argument("--json", type=_output_file, default=None, metavar="FILE",
                        help="also write the chaos report as JSON")
     chaos.add_argument("--emit-plan", default=None, metavar="FILE",
                        help="write the (possibly generated) plan here and exit")
@@ -260,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per-client completion deadline")
     traffic.add_argument("--seed", type=int, default=0)
-    traffic.add_argument("--out", default=None, metavar="FILE",
+    traffic.add_argument("--out", type=_output_file, default=None, metavar="FILE",
                          help="write the trace as replayable JSON")
     traffic.add_argument("--replay", action="store_true",
                          help="replay the trace through the simulated "
@@ -290,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cohort.add_argument("--background", type=_non_negative_int, default=50,
                         help="static background processes on the x86 host")
     cohort.add_argument("--seed", type=int, default=0)
-    cohort.add_argument("--json", default=None, metavar="FILE",
+    cohort.add_argument("--json", type=_output_file, default=None, metavar="FILE",
                         help="also write the per-cohort summary as JSON")
 
     fleet = sub.add_parser(
@@ -318,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--faults", action="store_true",
                        help="generate a per-node fault plan (half the "
                        "nodes) and arm it against the run")
-    fleet.add_argument("--json", default=None, metavar="FILE",
+    fleet.add_argument("--json", type=_output_file, default=None, metavar="FILE",
                        help="also write the per-node summary as JSON")
 
     metrics = sub.add_parser(
@@ -333,9 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="target process count incl. MG-B background")
     metrics.add_argument("--mode", choices=sorted(_MODES), default="xar-trek")
     metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--json", default=None, metavar="FILE",
+    metrics.add_argument("--json", type=_output_file, default=None, metavar="FILE",
                          help="also write the snapshot as deterministic JSON")
-    metrics.add_argument("--csv", default=None, metavar="FILE",
+    metrics.add_argument("--csv", type=_output_file, default=None, metavar="FILE",
                          help="also write the snapshot as deterministic CSV")
     return parser
 

@@ -55,9 +55,9 @@ def simulate_x86_time_under_load(
         raise ValueError(f"load must be >= 1, got {load}")
     sim = Simulator()
     cluster = CPUCluster(sim, spec)
-    done = cluster.execute(profile.vanilla_x86_s, tag="measured")
+    done = cluster.execute(profile.vanilla_x86_s)
     for _ in range(load - 1):
-        cluster.execute(profile.vanilla_x86_s, tag="background")
+        cluster.execute(profile.vanilla_x86_s)
     sim.run_until_event(done)
     return sim.now
 

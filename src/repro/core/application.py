@@ -176,7 +176,7 @@ class ApplicationRun:
         call queues, so it runs before anything queued later for the
         same instant, whatever the delay; the generator reference
         (tests/core/client_path_reference.py) boots in that slot too. A
-        negative or NaN delay raises
+        negative, infinite or NaN delay raises
         :class:`~repro.sim.SimulationError`.
 
         The run's lifecycle — host work, per-call decide/dispatch,
@@ -336,13 +336,11 @@ class ApplicationRun:
                     profile.per_call_host_s + profile.func_x86_s
                 ) * slowdown
                 platform.arm.cpu.execute_job(
-                    profile.host_work_s * slowdown,
-                    tag=self.app.name,
-                    on_complete=self._arm_host_done,
+                    profile.host_work_s * slowdown, on_complete=self._arm_host_done
                 )
             else:
                 platform.x86.cpu.execute_job(
-                    profile.host_work_s, tag=self.app.name, on_complete=self._host_done
+                    profile.host_work_s, on_complete=self._host_done
                 )
         except BaseException as exc:
             self._chain_fail(exc)
@@ -365,7 +363,7 @@ class ApplicationRun:
                 return
             self._call_started = self.runtime.platform.now
             self.runtime.platform.arm.cpu.execute_job(
-                self._arm_call_cost, tag=self.app.name, on_complete=self._arm_call_done
+                self._arm_call_cost, on_complete=self._arm_call_done
             )
         except BaseException as exc:
             self._chain_fail(exc)
@@ -399,7 +397,7 @@ class ApplicationRun:
             per_call = self.profile.per_call_host_s
             if per_call > 0:
                 self.runtime.platform.x86.cpu.execute_job(
-                    per_call, tag=self.app.name, on_complete=self._per_call_host_done
+                    per_call, on_complete=self._per_call_host_done
                 )
             else:
                 self._begin_call()
@@ -508,8 +506,7 @@ class ApplicationRun:
             self._arm_migrate_begin()
         else:
             self.runtime.platform.x86.cpu.execute_job(
-                self.profile.func_x86_s, tag=self.app.name,
-                on_complete=self._x86_func_done,
+                self.profile.func_x86_s, on_complete=self._x86_func_done
             )
 
     def _x86_func_done(self, _job) -> None:
@@ -531,7 +528,7 @@ class ApplicationRun:
         self.record.fpga_fallbacks += 1
         self._resilience.count_fallback(reason)
         self.runtime.platform.x86.cpu.execute_job(
-            self.profile.func_x86_s, tag=self.app.name, on_complete=self._x86_func_done
+            self.profile.func_x86_s, on_complete=self._x86_func_done
         )
 
     # -- FPGA path (mirrors GeneratorRun._execute_fpga) --------------------------
@@ -673,8 +670,7 @@ class ApplicationRun:
         try:
             self.record.migrations += 1
             self.runtime.platform.arm.cpu.execute_job(
-                self.profile.func_arm_s, tag=self.app.name,
-                on_complete=self._arm_func_done,
+                self.profile.func_arm_s, on_complete=self._arm_func_done
             )
         except BaseException as exc:
             self._chain_fail(exc)

@@ -110,10 +110,7 @@ class BackgroundLoad:
                     self.completed_rounds += job.copies
                 if self._stopped:
                     return
-                x86.execute_job(
-                    work_s, tag="background", on_complete=spin_round,
-                    copies=n_processes,
-                )
+                x86.execute_job(work_s, on_complete=spin_round, copies=n_processes)
 
             if n_processes:
                 spin_round()
@@ -131,7 +128,7 @@ class BackgroundLoad:
 
         def run_burst() -> None:
             burst = min(self.slice_s * self.duty, remaining)
-            x86.execute_job(burst, tag="background", on_complete=stall)
+            x86.execute_job(burst, on_complete=stall)
 
         def stall(job) -> None:
             nonlocal remaining
@@ -198,15 +195,12 @@ class XarTrekRuntime:
             self.platform.sim,
             self.platform.fpga,
             self.platform.pcie,
-            tracer=self.platform.tracer,
             metrics=self.metrics,
             host_cpu=self.platform.x86.cpu,
         )
         self.dsm: Optional[DSM] = None
         if use_dsm:
-            self.dsm = DSM(
-                self.platform.sim, self.platform.ethernet, tracer=self.platform.tracer
-            )
+            self.dsm = DSM(self.platform.sim, self.platform.ethernet)
             self.dsm.add_node(str(Target.X86))
             self.dsm.add_node(str(Target.ARM))
         self._popcorn: dict[str, PopcornRuntime] = {}
@@ -281,8 +275,8 @@ class XarTrekRuntime:
         """Start one application run; the event fires with its RunRecord.
 
         ``delay_s`` is how many simulated seconds from now the run
-        starts (see :meth:`ApplicationRun.start`); a negative or NaN
-        delay raises :class:`~repro.sim.SimulationError`. ``calls``
+        starts (see :meth:`ApplicationRun.start`); a negative, infinite
+        or NaN delay raises :class:`~repro.sim.SimulationError`. ``calls``
         overrides the profile's calls-per-run (the modified multi-image
         face detection of Section 4.2); ``deadline_s`` stops issuing
         calls after a wall-clock budget (the 60 s throughput window).

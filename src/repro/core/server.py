@@ -12,6 +12,10 @@ In the simulation the socket is a round-trip latency: each accepted
 request runs as its own callback chain (inbound hop, decide, reply
 hop), so the request/decide/reply path consumes simulated time exactly
 like the real client/server pair.
+
+On a traced platform the server is the run timeline's only writer: it
+appends each decision and each FPGA load it starts to
+``platform.timeline``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Any, Optional
 from repro.core.policy import Decision, decide
 from repro.hardware.platform import HeterogeneousPlatform
 from repro.metrics import MetricsRegistry
-from repro.sim import Event
+from repro.sim import Event, TimelineEvent
 from repro.thresholds import ThresholdTable
 from repro.types import Target
 from repro.xrt import XRTDevice
@@ -33,6 +37,12 @@ __all__ = ["RequestShed", "SchedulerServer", "SchedulerUnavailable", "ServerStat
 DEFAULT_SOCKET_LATENCY_S = 50e-6
 
 _TARGET_BY_NAME = {str(target): target for target in Target}
+
+#: Brownout rung 1+: keep serving, but pin everything to the x86 host —
+#: accelerator occupancy (FPGA runs, ARM queueing) is what the ladder
+#: is protecting, and x86 is the one target that can always absorb more
+#: load (degraded, not down).
+_BROWNOUT_X86 = Decision(target=Target.X86, reconfigure=False, rule="brownout-x86")
 
 
 class SchedulerUnavailable(RuntimeError):
@@ -211,7 +221,7 @@ class SchedulerServer:
         self.policy = policy or decide
         self.kernel_images = dict(kernel_images)
         self.socket_latency_s = DEFAULT_SOCKET_LATENCY_S
-        self.tracer = platform.tracer
+        self._timeline = platform.timeline
         self.metrics = platform.metrics
         self.resilience = resilience
         self.stats = ServerStats(self.metrics)
@@ -290,7 +300,6 @@ class SchedulerServer:
         pending = self._pending
         while pending:
             self._fail_reply(pending.popleft()[1])
-        self.tracer.record("scheduler", "server stopped")
 
     def _fail_reply(self, reply: Event) -> None:
         reply.defused = True  # the client may have already abandoned it
@@ -359,13 +368,6 @@ class SchedulerServer:
             reason = guard.admit(sim.now, deadline_at, estimate)
             if reason is not None:
                 guard.count_shed(reason)
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        "scheduler",
-                        f"{app_name}: shed ({reason})",
-                        app=app_name,
-                        reason=reason,
-                    )
                 raise RequestShed(reason)
             guard.enqueued()
         reply = sim.event()
@@ -422,43 +424,27 @@ class SchedulerServer:
         guard = self.resilience.overload
         if guard is not None:
             guard.update(load)
-            if guard.x86_only:
-                # Brownout rung 1+: keep serving, but pin everything to
-                # the x86 host — accelerator occupancy (FPGA runs, ARM
-                # queueing) is what the ladder is protecting, and x86
-                # is the one target that can always absorb more load
-                # (degraded, not down).
-                decision = Decision(
-                    target=Target.X86, reconfigure=False, rule="brownout-x86"
-                )
-                self.stats._count_decision(decision)
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        "scheduler",
-                        f"{app_name}: load={load} -> {decision.target} "
-                        f"({decision.rule})",
-                        app=app_name,
-                        load=load,
-                        target=str(decision.target),
-                        rule=decision.rule,
-                    )
-                return decision
-        available = bool(entry.kernel_name) and self.xrt.has_kernel(entry.kernel_name)
-        if available:
-            # A quarantined kernel is treated as absent: Algorithm 2
-            # steers the call to a CPU target until the breaker's
-            # cooldown admits a half-open trial.
-            available = self.resilience.allow_kernel(entry.kernel_name)
-        decision = self.policy(load, entry, available)
+        if guard is not None and guard.x86_only:
+            decision = _BROWNOUT_X86
+        else:
+            available = bool(entry.kernel_name) and self.xrt.has_kernel(
+                entry.kernel_name
+            )
+            if available:
+                # A quarantined kernel is treated as absent: Algorithm 2
+                # steers the call to a CPU target until the breaker's
+                # cooldown admits a half-open trial.
+                available = self.resilience.allow_kernel(entry.kernel_name)
+            decision = self.policy(load, entry, available)
         self.stats._count_decision(decision)
-        if self.tracer.enabled:
-            self.tracer.record(
-                "scheduler",
-                f"{app_name}: load={load} -> {decision.target} ({decision.rule})",
-                app=app_name,
-                load=load,
-                target=str(decision.target),
-                rule=decision.rule,
+        if self._timeline is not None:
+            self._timeline.append(
+                TimelineEvent(
+                    self.platform.sim.now,
+                    "decision",
+                    app_name,
+                    f"load={load} target={decision.target!s} rule={decision.rule}",
+                )
             )
         if decision.reconfigure:
             self._maybe_reconfigure(entry.kernel_name)
@@ -485,24 +471,21 @@ class SchedulerServer:
             self.stats._reconf_skipped.inc()
             return
         self.stats._reconf_started.inc()
-        self.tracer.record(
-            "scheduler",
-            f"reconfiguring FPGA with {image.name} for {kernel_name}",
-            image=image.name,
-            kernel=kernel_name,
-        )
+        if self._timeline is not None:
+            self._timeline.append(
+                TimelineEvent(
+                    self.platform.sim.now,
+                    "reconfig",
+                    kernel_name,
+                    f"image={image.name}",
+                )
+            )
         done = self.xrt.load_xclbin(image)
         done.defused = True  # a programming failure must not crash the run
 
         def on_outcome(event) -> None:
             if not event.ok:
                 self.stats._reconf_failed.inc()
-                self.tracer.record(
-                    "scheduler",
-                    f"reconfiguration with {image.name} failed; will retry "
-                    "on the next request",
-                    image=image.name,
-                )
                 self.resilience.record_device_failure()
                 self._schedule_reconfig_retry(kernel_name)
             else:

@@ -91,9 +91,7 @@ class WaveLoad:
         """One worker's next MG-B round, unless it is above the quota."""
         if not self._stopped and index <= self._quota:
             self._x86.execute_job(
-                self.work_s,
-                tag="wave-background",
-                on_complete=lambda _job: self._round(index),
+                self.work_s, on_complete=lambda _job: self._round(index)
             )
 
     def stop(self) -> None:

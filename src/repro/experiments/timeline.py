@@ -1,10 +1,11 @@
 """Timeline extraction and export: what did the system do, and when.
 
-Builds a per-run timeline from a (trace-enabled) runtime: application
-spans, scheduler decisions with their Algorithm 2 rules, and FPGA
-reconfigurations. Exports CSV and JSON for offline analysis and offers
-a load histogram for quick textual inspection — the practical debugging
-surface a policy author needs.
+Builds a per-run timeline from a runtime: application spans from its
+run records, plus — on a traced platform — the scheduler decisions with
+their Algorithm 2 rules and the FPGA reconfigurations the scheduler
+started (``platform.timeline``). Exports CSV and JSON for offline
+analysis and offers a textual summary — the practical debugging surface
+a policy author needs.
 """
 
 from __future__ import annotations
@@ -13,21 +14,11 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 from repro.core.runtime import XarTrekRuntime
+from repro.sim import TimelineEvent
 
 __all__ = ["TimelineEvent", "Timeline", "extract_timeline"]
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One timeline entry."""
-
-    time_s: float
-    kind: str  # app-start | app-end | decision | reconfig | dsm | fpga
-    app: str
-    detail: str
 
 
 @dataclass
@@ -83,10 +74,9 @@ class Timeline:
         return "\n".join(lines)
 
 
-def extract_timeline(
-    runtime: XarTrekRuntime, until: Optional[float] = None
-) -> Timeline:
-    """Build the timeline from a runtime's records and trace.
+def extract_timeline(runtime: XarTrekRuntime) -> Timeline:
+    """Build the timeline from a runtime's run records and its
+    platform's timeline.
 
     Scheduler decisions and reconfigurations require the platform to
     have been built with ``trace=True``; application spans come from
@@ -107,29 +97,6 @@ def extract_timeline(
                     f"elapsed={record.elapsed_s:.6f} targets={targets}",
                 )
             )
-    for trace_record in runtime.platform.tracer.records:
-        if trace_record.category == "scheduler":
-            if "rule" in trace_record.data:
-                events.append(
-                    TimelineEvent(
-                        trace_record.time,
-                        "decision",
-                        str(trace_record.data.get("app", "")),
-                        f"load={trace_record.data.get('load')} "
-                        f"target={trace_record.data.get('target')} "
-                        f"rule={trace_record.data.get('rule')}",
-                    )
-                )
-            elif "image" in trace_record.data:
-                events.append(
-                    TimelineEvent(
-                        trace_record.time,
-                        "reconfig",
-                        str(trace_record.data.get("kernel", "")),
-                        f"image={trace_record.data.get('image')}",
-                    )
-                )
+    events.extend(runtime.platform.timeline or ())
     events.sort(key=lambda ev: (ev.time_s, ev.kind))
-    if until is not None:
-        events = [ev for ev in events if ev.time_s <= until]
     return Timeline(events)

@@ -84,15 +84,6 @@ class FaultInjector:
         self._m_injected.labels(kind=spec.kind).inc(
             spec.count if spec.kind in ("kernel_fault", "reconfig_fault") else 1
         )
-        tracer = self.runtime.platform.tracer
-        if tracer.enabled:
-            tracer.record(
-                "faults",
-                f"injected {spec.kind} (target={spec.target or '-'}, "
-                f"count={spec.count}, duration={spec.duration_s}s)",
-                kind=spec.kind,
-                target=spec.target,
-            )
 
     def _fire_kernel_fault(self, spec: FaultSpec) -> None:
         self.runtime.xrt.inject_run_failures(spec.target, spec.count)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from math import inf
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -80,8 +81,14 @@ class FaultSpec:
             )
         if not isinstance(self.count, int) or isinstance(self.count, bool):
             raise FaultPlanError(f"{self.kind}: count must be an int, got {self.count!r}")
-        if self.at_s < 0:
-            raise FaultPlanError(f"{self.kind}: at_s must be >= 0, got {self.at_s}")
+        if not 0.0 <= self.at_s < inf:
+            raise FaultPlanError(
+                f"{self.kind}: at_s must be finite and >= 0, got {self.at_s}"
+            )
+        if not -inf < self.duration_s < inf:
+            raise FaultPlanError(
+                f"{self.kind}: duration_s must be finite, got {self.duration_s}"
+            )
         if self.kind in _COUNT_KINDS and self.count < 1:
             raise FaultPlanError(f"{self.kind}: count must be >= 1, got {self.count}")
         if self.kind in _WINDOW_KINDS and self.duration_s <= 0:
@@ -99,9 +106,9 @@ class FaultSpec:
                 raise FaultPlanError(
                     f"link_degrade: factor must be in (0, 1], got {self.factor}"
                 )
-        if self.kind == "server_slow" and self.factor < 1.0:
+        if self.kind == "server_slow" and not 1.0 <= self.factor < inf:
             raise FaultPlanError(
-                f"server_slow: factor must be >= 1, got {self.factor}"
+                f"server_slow: factor must be finite and >= 1, got {self.factor}"
             )
 
     @property

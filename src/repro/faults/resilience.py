@@ -28,6 +28,7 @@ the ``cpu_load`` pattern).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Optional
 
 from repro.metrics import MetricsRegistry
@@ -154,16 +155,21 @@ class ResilienceConfig:
     def __post_init__(self):
         if self.kernel_retry_limit < 0:
             raise ValueError("kernel_retry_limit must be >= 0")
-        if self.retry_backoff_s < 0 or self.retry_backoff_factor < 1.0:
-            raise ValueError("retry backoff must be >= 0 with factor >= 1")
+        if not (
+            0.0 <= self.retry_backoff_s < inf and 1.0 <= self.retry_backoff_factor < inf
+        ):
+            raise ValueError("retry backoff must be finite and >= 0 with factor >= 1")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be >= 1")
         if self.breaker_cooldown_s < 0:
             raise ValueError("breaker_cooldown_s must be >= 0")
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be positive or None")
-        if self.reconfig_retry_limit < 0 or self.reconfig_retry_backoff_s < 0:
-            raise ValueError("reconfig retry knobs must be >= 0")
+        timeout = self.request_timeout_s
+        if timeout is not None and not 0.0 < timeout < inf:
+            raise ValueError("request_timeout_s must be positive and finite, or None")
+        if self.reconfig_retry_limit < 0:
+            raise ValueError("reconfig_retry_limit must be >= 0")
+        if not 0.0 <= self.reconfig_retry_backoff_s < inf:
+            raise ValueError("reconfig_retry_backoff_s must be finite and >= 0")
 
     def backoff_s(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (0-based)."""

@@ -182,7 +182,6 @@ class FleetDeployment:
     def __init__(
         self,
         config: FleetConfig,
-        trace: bool = False,
         **runtime_options,
     ):
         """Extra keyword arguments (``resilience``, ``policy``, ...)
@@ -192,7 +191,7 @@ class FleetDeployment:
         self.seeds = node_seeds(config.seed, config.nodes)
         self.nodes: list[FleetNode] = []
         for index, seed in enumerate(self.seeds):
-            platform = HeterogeneousPlatform(sim=self.sim, seed=seed, trace=trace)
+            platform = HeterogeneousPlatform(sim=self.sim, seed=seed)
             runtime = build_system(
                 config.apps,
                 seed=seed,
@@ -263,9 +262,9 @@ class FleetDeployment:
         Routing happens when the client *starts* (after ``delay_s``),
         not when this call is made — a staggered client must be placed
         against the gossip state of its start time, or every client of
-        a wave would herd onto the round-0 view. A negative or NaN
-        ``delay_s`` raises :class:`~repro.sim.SimulationError`, as it
-        does for :meth:`XarTrekRuntime.launch`.
+        a wave would herd onto the round-0 view. A negative, infinite or
+        NaN ``delay_s`` raises :class:`~repro.sim.SimulationError`, as
+        it does for :meth:`XarTrekRuntime.launch`.
         """
         if client is None:
             client = f"anon{self._auto_clients}"

@@ -10,11 +10,11 @@ per-ISA performance profile before submitting (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.hardware.sharing import FairShareServer, Job
 from repro.metrics import MetricsRegistry
-from repro.sim import Event, Simulator, Tracer
+from repro.sim import Event, Simulator
 
 __all__ = ["CPUSpec", "CPUCluster"]
 
@@ -52,12 +52,10 @@ class CPUCluster:
         self,
         sim: Simulator,
         spec: CPUSpec,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.spec = spec
-        self.tracer = tracer or Tracer(enabled=False)
         self._server = FairShareServer(sim, spec.name, capacity=spec.cores, job_cap=1.0)
         self._load_gauge = None
         if metrics is not None:
@@ -108,22 +106,12 @@ class CPUCluster:
         return self._server.utilization(0.0) * self.sim.now * self._server.capacity
 
     # -- execution --------------------------------------------------------
-    def execute(self, core_seconds: float, tag: Any = None) -> Event:
+    def execute(self, core_seconds: float) -> Event:
         """Run ``core_seconds`` of single-threaded work; returns done event."""
-        job = self.execute_job(core_seconds, tag=tag)
-        if self.tracer.enabled:
-            self.tracer.record(
-                "cpu",
-                f"{self.spec.name}: job {job.job_id} submitted",
-                cluster=self.spec.name,
-                work=core_seconds,
-                load=self.load,
-                tag=tag,
-            )
-        return job.done
+        return self.execute_job(core_seconds).done
 
     def execute_job(
-        self, core_seconds: float, tag: Any = None, on_complete=None, copies: int = 1
+        self, core_seconds: float, on_complete=None, copies: int = 1
     ) -> Job:
         """Like :meth:`execute` but returns the cancellable job handle.
 
@@ -135,7 +123,7 @@ class CPUCluster:
         aggregates feed the pull-sampled gauge.
         """
         return self._server.submit(
-            core_seconds, tag=tag, on_complete=on_complete, copies=copies
+            core_seconds, on_complete=on_complete, copies=copies
         )
 
     def cancel(self, job: Job) -> None:

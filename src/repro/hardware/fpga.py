@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
-from repro.sim import Event, SimulationError, Simulator, Tracer
+from repro.sim import Event, SimulationError, Simulator
 
 __all__ = [
     "FPGAResources",
@@ -156,10 +156,9 @@ class _ComputeUnits:
 class FPGADevice:
     """A reconfigurable accelerator card attached over PCIe."""
 
-    def __init__(self, sim: Simulator, spec: FPGASpec, tracer: Optional[Tracer] = None):
+    def __init__(self, sim: Simulator, spec: FPGASpec):
         self.sim = sim
         self.spec = spec
-        self.tracer = tracer or Tracer(enabled=False)
         self._image: Optional[ConfigImage] = None
         #: available_kernels memo, keyed on image identity.
         self._avail_image: Optional[ConfigImage] = None
@@ -266,7 +265,6 @@ class FPGADevice:
             return
         self._crashed = True
         self.crash_count += 1
-        self.tracer.record("fpga", f"{self.spec.name}: device CRASHED")
         self._image = None
         # The dropped units' queued invocations fail below through
         # _inflight_execs; their continuations hold the unit and this
@@ -291,7 +289,6 @@ class FPGADevice:
         if not self._crashed:
             return
         self._crashed = False
-        self.tracer.record("fpga", f"{self.spec.name}: device recovered (unconfigured)")
 
     # -- reconfiguration ------------------------------------------------------
     def configure(self, image: ConfigImage) -> Event:
@@ -342,12 +339,6 @@ class FPGADevice:
         self._reconfiguring = True
         self.reconfiguration_count += 1
         delay = self.spec.reconfig_time(image.size_bytes)
-        self.tracer.record(
-            "fpga",
-            f"{self.spec.name}: reconfiguring with {image.name} ({delay * 1e3:.1f} ms)",
-            image=image.name,
-            delay=delay,
-        )
         done = self.sim.event()
         self._reconfig_done = done
 
@@ -361,12 +352,6 @@ class FPGADevice:
                 self.failed_reconfigurations += 1
                 self._image = prev_image
                 self._compute_units = prev_cus
-                self.tracer.record(
-                    "fpga",
-                    f"{self.spec.name}: programming {image.name} FAILED"
-                    + (f"; {prev_image.name} stays resident" if prev_image else ""),
-                    image=image.name,
-                )
                 done.fail(
                     SimulationError(f"programming {image.name} failed")
                 )
@@ -378,12 +363,6 @@ class FPGADevice:
                 name: _ComputeUnits(max(1, cu_of(name)))
                 for name in image.kernel_names
             }
-            self.tracer.record(
-                "fpga",
-                f"{self.spec.name}: {image.name} loaded",
-                image=image.name,
-                kernels=list(image.kernel_names),
-            )
             done.succeed(image.name)
 
         self.sim.defer(delay, finish)
@@ -415,12 +394,6 @@ class FPGADevice:
                 return  # aborted by a device crash mid-run
             cu.release()
             self.busy_seconds += duration
-            self.tracer.record(
-                "fpga",
-                f"{self.spec.name}: {kernel_name} completed",
-                kernel=kernel_name,
-                duration=duration,
-            )
             done.succeed_in_place(kernel_name)
 
         # Grant -> hold the CU for ``duration`` -> release and report.

@@ -11,10 +11,9 @@ property: concurrent transfers slow each other down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 from repro.hardware.sharing import FairShareServer
-from repro.sim import Event, SimulationError, Simulator, Tracer
+from repro.sim import Event, SimulationError, Simulator
 
 __all__ = ["LinkSpec", "Link", "ETHERNET_1GBPS", "PCIE_GEN3_X16"]
 
@@ -44,10 +43,9 @@ PCIE_GEN3_X16 = LinkSpec("pcie", bandwidth_bytes_per_s=32e9, latency_s=5e-6)
 class Link:
     """A bidirectional, fair-shared interconnect."""
 
-    def __init__(self, sim: Simulator, spec: LinkSpec, tracer: Optional[Tracer] = None):
+    def __init__(self, sim: Simulator, spec: LinkSpec):
         self.sim = sim
         self.spec = spec
-        self.tracer = tracer or Tracer(enabled=False)
         self._server = FairShareServer(
             sim, spec.name, capacity=spec.bandwidth_bytes_per_s, job_cap=None
         )
@@ -76,14 +74,8 @@ class Link:
             return
         self._degradation = factor
         self._server.set_capacity(self.spec.bandwidth_bytes_per_s * factor)
-        self.tracer.record(
-            "link",
-            f"{self.spec.name}: bandwidth set to {factor:.0%} of nominal",
-            link=self.spec.name,
-            factor=factor,
-        )
 
-    def transfer(self, nbytes: float, tag: Any = None) -> Event:
+    def transfer(self, nbytes: float) -> Event:
         """Move ``nbytes`` across the link; the event fires on completion."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes!r}")
@@ -95,16 +87,7 @@ class Link:
             # Propagation latency applies once the pipe has drained.
             sim.defer(latency, done.succeed_in_place, nbytes)
 
-        self._server.submit(float(nbytes), tag=tag, on_complete=after_bandwidth)
-        if self.tracer.enabled:
-            self.tracer.record(
-                "link",
-                f"{self.spec.name}: transfer of {nbytes:.0f} B started",
-                link=self.spec.name,
-                nbytes=nbytes,
-                concurrent=self.active_transfers,
-                tag=tag,
-            )
+        self._server.submit(float(nbytes), on_complete=after_bandwidth)
         return done
 
     def ideal_transfer_time(self, nbytes: float) -> float:

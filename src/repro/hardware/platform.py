@@ -15,7 +15,7 @@ from repro.hardware.fpga import ALVEO_U50, FPGADevice, FPGASpec
 from repro.hardware.interconnect import ETHERNET_1GBPS, PCIE_GEN3_X16, Link, LinkSpec
 from repro.hardware.server import Server, ServerSpec
 from repro.metrics import MetricsRegistry
-from repro.sim import RandomStreams, Simulator, Tracer
+from repro.sim import RandomStreams, Simulator, TimelineEvent
 from repro.types import Target
 
 __all__ = ["HeterogeneousPlatform", "paper_testbed", "XEON_BRONZE_3104", "THUNDERX"]
@@ -46,36 +46,35 @@ class HeterogeneousPlatform:
         trace: bool = False,
     ):
         self.sim = sim = sim or Simulator()
-        self.tracer = Tracer(enabled=trace)
-        # Clocks close over the simulator, never over the platform: the
-        # tracer and every metric keep theirs, so a clock that held the
-        # platform would make the whole deployment a reference cycle.
-        self.tracer.bind_clock(lambda: sim.now)
+        #: The run timeline when ``trace`` is on (the scheduler server
+        #: appends its decisions and FPGA loads), else None.
+        self.timeline: Optional[list[TimelineEvent]] = [] if trace else None
         self.rng = RandomStreams(seed)
         #: The shared telemetry spine: every component attached to this
         #: platform records into the same registry, timestamped by the
-        #: simulated clock and seeded by the platform RNG family.
+        #: simulated clock and seeded by the platform RNG family. The
+        #: clock closes over the simulator, never over the platform: a
+        #: clock that held the platform would make the whole deployment
+        #: a reference cycle.
         self.metrics = MetricsRegistry(
             clock=lambda: sim.now, rng=self.rng.spawn("metrics")
         )
 
-        self.ethernet = Link(self.sim, ethernet_spec, tracer=self.tracer)
-        self.pcie = Link(self.sim, pcie_spec, tracer=self.tracer)
+        self.ethernet = Link(self.sim, ethernet_spec)
+        self.pcie = Link(self.sim, pcie_spec)
         self.x86 = Server(
             self.sim,
             ServerSpec(cpu=x86_spec, memory_bytes=64 * 2**30),
             nic=self.ethernet,
-            tracer=self.tracer,
             metrics=self.metrics,
         )
         self.arm = Server(
             self.sim,
             ServerSpec(cpu=arm_spec, memory_bytes=128 * 2**30),
             nic=self.ethernet,
-            tracer=self.tracer,
             metrics=self.metrics,
         )
-        self.fpga = FPGADevice(self.sim, fpga_spec, tracer=self.tracer)
+        self.fpga = FPGADevice(self.sim, fpga_spec)
 
     # -- convenience accessors ----------------------------------------------
     @property

@@ -8,7 +8,7 @@ from typing import Optional
 from repro.hardware.cpu import CPUCluster, CPUSpec
 from repro.hardware.interconnect import Link
 from repro.metrics import MetricsRegistry
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 
 __all__ = ["ServerSpec", "Server"]
 
@@ -33,12 +33,11 @@ class Server:
         sim: Simulator,
         spec: ServerSpec,
         nic: Optional[Link] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.spec = spec
-        self.cpu = CPUCluster(sim, spec.cpu, tracer=tracer, metrics=metrics)
+        self.cpu = CPUCluster(sim, spec.cpu, metrics=metrics)
         self.nic = nic
 
     @property

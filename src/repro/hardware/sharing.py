@@ -77,7 +77,6 @@ class Job:
     work: float  # total demand, in capacity-units * seconds
     remaining: float
     done: Optional[Event]
-    tag: Any = None
     start_time: float = 0.0
     finish_time: Optional[float] = None
     copies: int = 1
@@ -242,9 +241,7 @@ class FairShareServer:
         self._reschedule()
 
     # -- job lifecycle -----------------------------------------------------
-    def submit(
-        self, work: float, tag: Any = None, on_complete=None, copies: int = 1
-    ) -> Job:
+    def submit(self, work: float, on_complete=None, copies: int = 1) -> Job:
         """Enter a job with total demand ``work``; returns its handle.
 
         The job's ``done`` event triggers (with the job as value) when
@@ -289,7 +286,6 @@ class FairShareServer:
             work=float(work),
             remaining=float(work),
             done=None if on_complete is not None else self.sim.event(),
-            tag=tag,
             start_time=now,
             copies=copies,
             entry_virtual=self._virtual,

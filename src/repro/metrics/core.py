@@ -1,10 +1,10 @@
 """Simulation-time-aware metrics primitives.
 
-The registry is the quantitative sibling of
-:class:`~repro.sim.tracing.Tracer`: where the tracer answers *why*
-something happened, metrics answer *how much* and *how fast* — "what
-was the p99 scheduler round-trip?", "how many decisions picked the
-FPGA?", "what fraction of reconfiguration time hid behind CPU work?".
+The registry is the quantitative sibling of the run timeline
+(:func:`repro.experiments.extract_timeline`): where the timeline answers
+*why* something happened, metrics answer *how much* and *how fast* —
+"what was the p99 scheduler round-trip?", "how many decisions picked
+the FPGA?", "what fraction of reconfiguration time hid behind CPU work?".
 
 Three metric types, modelled on the Prometheus data model but driven by
 the *simulated* clock rather than wall time:

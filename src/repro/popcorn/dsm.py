@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.hardware.interconnect import Link
-from repro.sim import Event, Simulator, Tracer
+from repro.sim import Event, Simulator
 
 __all__ = ["PageState", "DSMStats", "DSM", "DSMError"]
 
@@ -127,14 +127,12 @@ class DSM:
         sim: Simulator,
         link: Link,
         page_size: int = 4096,
-        tracer: Optional[Tracer] = None,
     ):
         if page_size <= 0 or page_size & (page_size - 1):
             raise DSMError(f"page size must be a power of two, got {page_size}")
         self.sim = sim
         self.link = link
         self.page_size = page_size
-        self.tracer = tracer or Tracer(enabled=False)
         self.nodes: set[str] = set()
         self.directory: dict[int, _PageEntry] = {}
         #: Uniform-state spans, sorted by start, disjoint from each
@@ -347,23 +345,15 @@ class DSM:
                 entry.states[owner] = PageState.SHARED  # writeback/downgrade
             self.stats.page_transfers += 1
             self.stats.bytes_transferred += self.page_size
-            self.link.transfer(
-                self.page_size, tag=("dsm-page", node, page)
-            ).callbacks.append(fetched)
+            self.link.transfer(self.page_size).callbacks.append(fetched)
 
         def fetched(_ev: Event) -> None:
             entry.states[node] = PageState.SHARED
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "dsm", f"{node}: read-fetch page {page:#x}", node=node, page=page
-                )
             done.succeed_in_place(page)
 
         self.stats.control_messages += 1
         self.stats.bytes_transferred += CONTROL_MESSAGE_BYTES
-        self.link.transfer(
-            CONTROL_MESSAGE_BYTES, tag=("dsm-req", node, page)
-        ).callbacks.append(fetch)
+        self.link.transfer(CONTROL_MESSAGE_BYTES).callbacks.append(fetch)
         return done
 
     def write(self, node: str, addr: int) -> Event:
@@ -403,19 +393,13 @@ class DSM:
             for other in others:
                 entry.states[other] = PageState.INVALID
             entry.states[node] = PageState.MODIFIED
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "dsm", f"{node}: write-own page {page:#x}", node=node, page=page
-                )
             done.succeed_in_place(page)
 
         def invalidated() -> None:
             if need_payload:
                 self.stats.page_transfers += 1
                 self.stats.bytes_transferred += self.page_size
-                self.link.transfer(
-                    self.page_size, tag=("dsm-page", node, page)
-                ).callbacks.append(owned)
+                self.link.transfer(self.page_size).callbacks.append(owned)
             else:
                 owned()
 
@@ -433,9 +417,7 @@ class DSM:
             self.stats.invalidations += 1
             self.stats.control_messages += 2  # invalidate + ack
             self.stats.bytes_transferred += 2 * CONTROL_MESSAGE_BYTES
-            self.link.transfer(
-                2 * CONTROL_MESSAGE_BYTES, tag=("dsm-inv", other, page)
-            ).callbacks.append(acked)
+            self.link.transfer(2 * CONTROL_MESSAGE_BYTES).callbacks.append(acked)
         return done
 
     def seed_pages(self, node: str, addrs: Sequence[int]) -> None:
@@ -481,7 +463,7 @@ class DSM:
         mask = ~(self.page_size - 1)
         run = self._contiguous_run(addrs, mask, self.page_size)
         if run is not None:
-            return self._migrate_range(src, dst, run[0], run[1])
+            return self._migrate_range(dst, run[0], run[1])
 
         pages = sorted({a & mask for a in addrs})
         n_pages = len(pages)
@@ -508,40 +490,24 @@ class DSM:
                 entry.invalidate_all()
                 entry.states[dst] = PageState.MODIFIED
 
-        return self._finish_migration(
-            src, dst, n_pages, len(to_claim), to_transfer, finish
-        )
+        return self._finish_migration(n_pages, to_transfer, finish)
 
-    def _migrate_range(self, src: str, dst: str, start: int, end: int) -> Event:
+    def _migrate_range(self, dst: str, start: int, end: int) -> Event:
         """Span-batched migration of the contiguous range [start, end)."""
         page_size = self.page_size
         n_pages = (end - start) // page_size
         directory = self.directory
 
-        n_claim = 0
+        # Pages already M at dst and untouched gap pages put nothing on
+        # the wire; every other page with a holder does.
         n_transfer = 0
-        dir_pages = self._directory_pages_in(start, end)
-        claim_dir: list[int] = []
-        for page in dir_pages:
+        for page in self._directory_pages_in(start, end):
             entry = directory[page]
-            if entry.states.get(dst) == PageState.MODIFIED:
-                continue
-            claim_dir.append(page)
-            n_claim += 1
-            if entry.has_holder():
+            if entry.states.get(dst) != PageState.MODIFIED and entry.has_holder():
                 n_transfer += 1
-        spans = self._spans_in(start, end)
-        covered = len(dir_pages)
-        for span in spans:
-            npages = span.npages(page_size)
-            covered += npages
-            if span.states.get(dst) == PageState.MODIFIED:
-                continue
-            n_claim += npages
-            if span.has_holder():
-                n_transfer += npages
-        # Untouched gap pages: first-touch claims, nothing on the wire.
-        n_claim += n_pages - covered
+        for span in self._spans_in(start, end):
+            if span.states.get(dst) != PageState.MODIFIED and span.has_holder():
+                n_transfer += span.npages(page_size)
 
         def finish() -> None:
             # The whole range ends uniformly M-at-dst (pages skipped
@@ -549,39 +515,22 @@ class DSM:
             # span — the next migration of this working set is O(1).
             self._replace_range(start, end, {dst: PageState.MODIFIED})
 
-        return self._finish_migration(src, dst, n_pages, n_claim, n_transfer, finish)
+        return self._finish_migration(n_pages, n_transfer, finish)
 
-    def _finish_migration(
-        self,
-        src: str,
-        dst: str,
-        n_pages: int,
-        n_claim: int,
-        n_transfer: int,
-        apply_states,
-    ) -> Event:
+    def _finish_migration(self, n_pages: int, n_transfer: int, apply_states) -> Event:
         """Shared tail of both migration paths: one wire transfer for
         all payload pages, then the directory update."""
         done = self.sim.event()
 
         def finish(trigger) -> None:
             apply_states()
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "dsm",
-                    f"{src} -> {dst}: migrated {n_claim} pages "
-                    f"({n_transfer} over the wire)",
-                    src=src,
-                    dst=dst,
-                    pages=n_claim,
-                )
             trigger(n_pages)
 
         if n_transfer:
             nbytes = n_transfer * self.page_size
             self.stats.page_transfers += n_transfer
             self.stats.bytes_transferred += nbytes
-            transfer = self.link.transfer(nbytes, tag=("dsm-migrate", dst, n_transfer))
+            transfer = self.link.transfer(nbytes)
             transfer.callbacks.append(lambda _ev: finish(done.succeed_in_place))
         else:
             # Nothing on the wire: the caller attaches its waiter after

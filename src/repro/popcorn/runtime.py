@@ -56,7 +56,6 @@ class PopcornRuntime:
         self.platform = platform
         self.transformer = StateTransformer(metadata)
         self.dsm = dsm
-        self.tracer = platform.tracer
         self._next_thread_id = 1
         #: Transform memo shared by every thread on this runtime:
         #: ``{(id(source_state), to_isa): (source_state, result_state,
@@ -158,15 +157,6 @@ class PopcornRuntime:
             thread.state = new_state
             thread.node = dest_node
             thread.migration_count += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "popcorn",
-                    f"thread {thread.thread_id} migrated {source_node} -> {dest_node}",
-                    thread=thread.thread_id,
-                    source=str(source_node),
-                    dest=str(dest_node),
-                    state_bytes=state_bytes,
-                )
             done.succeed_in_place(thread)
 
         def after_pages(_ev: Event) -> None:
@@ -182,15 +172,9 @@ class PopcornRuntime:
                 commit()
 
         def after_transform(_job) -> None:
-            self.platform.ethernet.transfer(
-                state_bytes, tag=("popcorn-state", thread.thread_id)
-            ).callbacks.append(after_wire)
+            self.platform.ethernet.transfer(state_bytes).callbacks.append(after_wire)
 
-        source_cluster.execute_job(
-            transform_cost,
-            tag=("popcorn-transform", thread.thread_id),
-            on_complete=after_transform,
-        )
+        source_cluster.execute_job(transform_cost, on_complete=after_transform)
         return done
 
     def migration_overhead_seconds(

@@ -3,7 +3,8 @@
 Provides the event loop (:class:`Simulator`) and its one-shot events
 (:class:`Event`), which the models drive as callback chains; periodic
 timers (:class:`PeriodicCall`); seeded RNG streams
-(:class:`RandomStreams`); and structured tracing (:class:`Tracer`).
+(:class:`RandomStreams`); and the run timeline's entry type
+(:class:`TimelineEvent`).
 """
 
 from repro.sim.engine import (
@@ -13,7 +14,7 @@ from repro.sim.engine import (
     Simulator,
 )
 from repro.sim.rng import RandomStreams
-from repro.sim.tracing import TraceRecord, Tracer
+from repro.sim.tracing import TimelineEvent
 
 __all__ = [
     "Event",
@@ -21,6 +22,5 @@ __all__ = [
     "RandomStreams",
     "SimulationError",
     "Simulator",
-    "TraceRecord",
-    "Tracer",
+    "TimelineEvent",
 ]

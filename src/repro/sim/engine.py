@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -227,9 +228,9 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable, arg: Any = _NO_ARG) -> None:
         """Run ``fn`` (or ``fn(arg)``) at absolute simulated time ``when``."""
-        if not when >= self.now:  # also refuses NaN
+        if not self.now <= when < inf:  # also refuses NaN
             raise SimulationError(
-                f"call_at({when}) is in the past or not a time (now={self.now})"
+                f"call_at({when}) is in the past or not a finite time (now={self.now})"
             )
         heapq.heappush(self._queue, (when, next(self._seq), fn, arg))
 
@@ -240,8 +241,10 @@ class Simulator:
         waits on an :class:`Event` the deferred call triggers. Passing
         the one value ``fn`` needs as ``arg`` saves building a closure.
         """
-        if not delay >= 0.0:  # also refuses NaN
-            raise SimulationError(f"defer delay must be >= 0, got {delay!r}")
+        if not 0.0 <= delay < inf:  # also refuses NaN
+            raise SimulationError(
+                f"defer delay must be finite and >= 0, got {delay!r}"
+            )
         heapq.heappush(self._queue, (self.now + delay, next(self._seq), fn, arg))
 
     def call_every(

@@ -1,64 +1,25 @@
-"""Structured event tracing for simulations.
+"""The run timeline's event type.
 
-Components record ``TraceRecord`` entries (timestamped, categorized)
-through a shared :class:`Tracer`; experiments and tests query the trace
-to assert *why* something happened (e.g. "the scheduler migrated this
-function to the FPGA at t=12.5 because load exceeded the threshold").
+A deployment built with tracing on (``HeterogeneousPlatform(trace=True)``)
+keeps ``platform.timeline``, a list of :class:`TimelineEvent`. The
+scheduler server is its only writer: it appends each Algorithm 2
+decision and each FPGA load it starts.
+:func:`repro.experiments.extract_timeline` merges those with the run
+records' application spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from dataclasses import dataclass
 
-__all__ = ["TraceRecord", "Tracer"]
+__all__ = ["TimelineEvent"]
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry."""
+class TimelineEvent:
+    """One timeline entry."""
 
-    time: float
-    category: str
-    message: str
-    data: dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return f"[{self.time:12.6f}] {self.category:<12} {self.message}"
-
-
-class Tracer:
-    """Collects trace records; cheap no-op when disabled."""
-
-    def __init__(self, enabled: bool = True, clock: Optional[Callable[[], float]] = None):
-        self.enabled = enabled
-        self.records: list[TraceRecord] = []
-        self._clock = clock or (lambda: 0.0)
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulator clock used to timestamp records."""
-        self._clock = clock
-
-    def record(self, category: str, message: str, **data: Any) -> None:
-        if not self.enabled:
-            return
-        self.records.append(TraceRecord(self._clock(), category, message, data))
-
-    def filter(self, category: Optional[str] = None, **data: Any) -> Iterator[TraceRecord]:
-        """Iterate records matching a category and/or data fields."""
-        for rec in self.records:
-            if category is not None and rec.category != category:
-                continue
-            if any(rec.data.get(k) != v for k, v in data.items()):
-                continue
-            yield rec
-
-    def count(self, category: Optional[str] = None, **data: Any) -> int:
-        return sum(1 for _ in self.filter(category, **data))
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def dump(self) -> str:
-        """The whole trace as a printable string (for debugging)."""
-        return "\n".join(str(rec) for rec in self.records)
+    time_s: float
+    kind: str  # app-start | app-end | decision | reconfig
+    app: str
+    detail: str

@@ -19,7 +19,7 @@ from typing import Optional
 from repro.hardware.fpga import FPGADevice
 from repro.hardware.interconnect import Link
 from repro.metrics import MetricsRegistry
-from repro.sim import Event, SimulationError, Simulator, Tracer
+from repro.sim import Event, SimulationError, Simulator
 
 __all__ = ["Buffer", "KernelRun", "XRTDevice", "XRTError"]
 
@@ -39,7 +39,7 @@ class Buffer:
 
 @dataclass(frozen=True)
 class KernelRun:
-    """Completed-run record, for tests and traces."""
+    """Completed-run record: what a :meth:`XRTDevice.run_kernel` event fires with."""
 
     kernel_name: str
     bytes_in: int
@@ -60,7 +60,6 @@ class XRTDevice:
         sim: Simulator,
         fpga: FPGADevice,
         pcie: Link,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         host_cpu=None,
     ):
@@ -70,7 +69,6 @@ class XRTDevice:
         self.sim = sim
         self.fpga = fpga
         self.pcie = pcie
-        self.tracer = tracer or Tracer(enabled=False)
         self.host_cpu = host_cpu
         self._buffer_ids = itertools.count(1)
         self._loaded_image = None
@@ -213,7 +211,7 @@ class XRTDevice:
     def sync_to_device(self, buffer: Buffer) -> Event:
         """Host -> card over PCIe (``clEnqueueMigrateMemObjects``)."""
         done = self.sim.event()
-        transfer = self.pcie.transfer(buffer.nbytes, tag=("xrt-h2d", buffer.buffer_id))
+        transfer = self.pcie.transfer(buffer.nbytes)
 
         def mark(_ev: Event) -> None:
             buffer.on_device = True
@@ -227,7 +225,7 @@ class XRTDevice:
         if not buffer.on_device:
             raise XRTError(f"buffer {buffer.buffer_id} is not on the device")
         done = self.sim.event()
-        transfer = self.pcie.transfer(buffer.nbytes, tag=("xrt-d2h", buffer.buffer_id))
+        transfer = self.pcie.transfer(buffer.nbytes)
         transfer.callbacks.append(lambda _ev: done.succeed(buffer))
         return done
 
@@ -300,13 +298,6 @@ class XRTDevice:
                     self._m_kernel_runs.labels(kernel=kernel_name)
                 )
             hist.observe(run.duration)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "xrt",
-                    f"{kernel_name} run complete ({run.duration * 1e3:.2f} ms)",
-                    kernel=kernel_name,
-                    duration=run.duration,
-                )
             done.succeed_in_place(run)
 
         def after_execute(ev: Event) -> None:
@@ -316,9 +307,7 @@ class XRTDevice:
                 return
             out_buf.on_device = True
             if bytes_out:
-                transfer = self.pcie.transfer(
-                    bytes_out, tag=("xrt-d2h", out_buf.buffer_id)
-                )
+                transfer = self.pcie.transfer(bytes_out)
                 transfer.callbacks.append(finish)
             else:
                 finish()
@@ -344,7 +333,7 @@ class XRTDevice:
             execute_done.callbacks.append(after_execute)
 
         if bytes_in:
-            transfer = self.pcie.transfer(bytes_in, tag=("xrt-h2d", in_buf.buffer_id))
+            transfer = self.pcie.transfer(bytes_in)
             transfer.callbacks.append(start_execute)
         else:
             start_execute()

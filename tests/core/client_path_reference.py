@@ -75,7 +75,7 @@ class GeneratorRun(ApplicationRun):
         """Vanilla Linux/ARM: the whole process on one ARM core."""
         arm = self.runtime.platform.arm.cpu
         slowdown = self.profile.arm_core_slowdown
-        yield arm.execute(self.profile.host_work_s * slowdown, tag=self.app.name)
+        yield arm.execute(self.profile.host_work_s * slowdown)
         for _call in range(self.profile.calls_per_run):
             if self._deadline_passed():
                 self._mark_deadline_expired()
@@ -84,7 +84,7 @@ class GeneratorRun(ApplicationRun):
                 self.profile.per_call_host_s + self.profile.func_x86_s
             ) * slowdown
             call_started = self.runtime.platform.now
-            yield arm.execute(call_cost, tag=self.app.name)
+            yield arm.execute(call_cost)
             self.record.targets.append(Target.ARM)
             self._observe_call(Target.ARM, call_started)
             self.record.calls_completed += 1
@@ -93,13 +93,13 @@ class GeneratorRun(ApplicationRun):
         """x86-hosted modes: host work, then the per-call dispatch loop."""
         x86 = self.runtime.platform.x86.cpu
         profile = self.profile
-        yield x86.execute(profile.host_work_s, tag=self.app.name)
+        yield x86.execute(profile.host_work_s)
         for _call in range(profile.calls_per_run):
             if self._deadline_passed():
                 self._mark_deadline_expired()
                 break
             if profile.per_call_host_s > 0:
-                yield x86.execute(profile.per_call_host_s, tag=self.app.name)
+                yield x86.execute(profile.per_call_host_s)
             call_started = self.runtime.platform.now
             target = yield from self._choose_target()
             if target is None:
@@ -163,9 +163,7 @@ class GeneratorRun(ApplicationRun):
         elif target is Target.ARM:
             yield from self._execute_arm_migrated()
         else:
-            yield self.runtime.platform.x86.cpu.execute(
-                self.profile.func_x86_s, tag=self.app.name
-            )
+            yield self.runtime.platform.x86.cpu.execute(self.profile.func_x86_s)
             self.record.targets.append(Target.X86)
 
     def _fallback_to_x86(self, reason: str):
@@ -176,9 +174,7 @@ class GeneratorRun(ApplicationRun):
         """
         self.record.fpga_fallbacks += 1
         self._resilience.count_fallback(reason)
-        yield self.runtime.platform.x86.cpu.execute(
-            self.profile.func_x86_s, tag=self.app.name
-        )
+        yield self.runtime.platform.x86.cpu.execute(self.profile.func_x86_s)
         self.record.targets.append(Target.X86)
 
     def _execute_fpga(self):
@@ -253,9 +249,7 @@ class GeneratorRun(ApplicationRun):
         self._mark_working_set(thread)
         yield popcorn.migrate(thread, Target.ARM)
         self.record.migrations += 1
-        yield self.runtime.platform.arm.cpu.execute(
-            self.profile.func_arm_s, tag=self.app.name
-        )
+        yield self.runtime.platform.arm.cpu.execute(self.profile.func_arm_s)
         self._mark_working_set(thread)  # results dirtied on the ARM side
         yield popcorn.migrate(thread, Target.X86)
         self.record.migrations += 1

@@ -1,6 +1,8 @@
 """Regression tests: delayed-launch failure propagation, the launch
 delay rule and ServerStats wiring."""
 
+import math
+
 import pytest
 
 from repro.core import SystemMode, build_system
@@ -60,6 +62,16 @@ def test_a_negative_delay_is_refused():
     runtime = build_system(["digit.500"])
     with pytest.raises(SimulationError, match="delay"):
         runtime.launch("digit.500", delay_s=-1.0)
+    runtime.platform.sim.run()
+    assert runtime.records == []
+
+
+def test_an_infinite_delay_is_refused():
+    # A run that starts at t=inf has a NaN elapsed time, and Algorithm 1
+    # would be fed it.
+    runtime = build_system(["digit.500"])
+    with pytest.raises(SimulationError, match="delay"):
+        runtime.launch("digit.500", delay_s=math.inf)
     runtime.platform.sim.run()
     assert runtime.records == []
 

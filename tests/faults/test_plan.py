@@ -1,5 +1,7 @@
 """Fault plans: validation, serialization, and seeded generation."""
 
+import math
+
 import pytest
 
 from repro.faults import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
@@ -13,6 +15,17 @@ class TestFaultSpecValidation:
     def test_negative_strike_time_rejected(self):
         with pytest.raises(FaultPlanError, match="at_s"):
             FaultSpec(at_s=-0.5, kind="device_crash", duration_s=1.0)
+
+    @pytest.mark.parametrize("at_s", [math.inf, math.nan])
+    def test_non_finite_strike_time_rejected(self, at_s):
+        with pytest.raises(FaultPlanError, match="at_s"):
+            FaultSpec(at_s=at_s, kind="device_crash", duration_s=1.0)
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["device_crash", "reconfig_fault"])
+    def test_non_finite_duration_rejected(self, kind, duration_s):
+        with pytest.raises(FaultPlanError, match="duration_s"):
+            FaultSpec(at_s=1.0, kind=kind, duration_s=duration_s)
 
     @pytest.mark.parametrize("kind", ["kernel_fault", "reconfig_fault"])
     def test_count_kinds_need_positive_count(self, kind):
@@ -47,6 +60,12 @@ class TestFaultSpecValidation:
     def test_server_slow_factor_at_least_one(self):
         with pytest.raises(FaultPlanError, match="factor"):
             FaultSpec(at_s=0.0, kind="server_slow", duration_s=1.0, factor=0.5)
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    def test_server_slow_factor_must_be_finite(self, factor):
+        # It scales the scheduler's reply delay, a simulated time.
+        with pytest.raises(FaultPlanError, match="factor"):
+            FaultSpec(at_s=0.0, kind="server_slow", duration_s=1.0, factor=factor)
 
     def test_end_s_covers_the_window(self):
         spec = FaultSpec(at_s=2.0, kind="device_crash", duration_s=3.0)
@@ -105,6 +124,23 @@ class TestFaultPlan:
             '"blast_radius": 3}]}'
         )
         with pytest.raises(FaultPlanError, match="unknown fields"):
+            FaultPlan.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            '"at_s": Infinity, "duration_s": 2.0',
+            '"at_s": NaN, "duration_s": 2.0',
+            '"at_s": 1.0, "duration_s": Infinity',
+        ],
+    )
+    def test_non_finite_json_times_rejected(self, times):
+        # Python's json module reads Infinity and NaN as floats.
+        payload = (
+            '{"schema": "xar-trek-fault-plan/1", "specs": '
+            f'[{{{times}, "kind": "device_crash"}}]}}'
+        )
+        with pytest.raises(FaultPlanError, match="finite"):
             FaultPlan.from_json(payload)
 
     def test_invalid_json_rejected(self):

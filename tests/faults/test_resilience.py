@@ -1,5 +1,7 @@
 """Resilience policy state machines: retries, breakers, counters."""
 
+import math
+
 import pytest
 
 from repro.faults import BreakerState, CircuitBreaker, ResilienceConfig, ResiliencePolicy
@@ -32,6 +34,16 @@ class TestResilienceConfig:
             {"breaker_cooldown_s": -1.0},
             {"request_timeout_s": 0.0},
             {"reconfig_retry_limit": -1},
+            # Simulated delays: an infinite one would queue a call at
+            # t=inf, a NaN one would fail mid-run.
+            {"request_timeout_s": math.inf},
+            {"request_timeout_s": math.nan},
+            {"retry_backoff_s": math.inf},
+            {"retry_backoff_s": math.nan},
+            {"retry_backoff_factor": math.inf},
+            {"retry_backoff_factor": math.nan},
+            {"reconfig_retry_backoff_s": math.inf},
+            {"reconfig_retry_backoff_s": math.nan},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

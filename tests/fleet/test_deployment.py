@@ -1,6 +1,8 @@
 """Fleet construction, config validation, the per-client path, and
 what cohort sharding records."""
 
+import math
+
 import pytest
 
 from repro.core import SystemMode
@@ -76,6 +78,12 @@ class TestDeployment:
         fleet = FleetDeployment(FleetConfig(nodes=2, apps=APPS, seed=5))
         with pytest.raises(SimulationError, match="delay"):
             fleet.launch("digit.2000", client="c0", delay_s=-1.0)
+        assert sum(fleet.router.clients_per_node()) == 0
+
+    def test_an_infinite_delay_is_refused(self):
+        fleet = FleetDeployment(FleetConfig(nodes=2, apps=APPS, seed=5))
+        with pytest.raises(SimulationError, match="delay"):
+            fleet.launch("digit.2000", client="c0", delay_s=math.inf)
         assert sum(fleet.router.clients_per_node()) == 0
 
     def test_stop_cancels_the_gossip_tick_so_the_sim_drains(self):

@@ -68,8 +68,8 @@ class TestDynamics:
     def test_late_arrival_slows_everyone(self):
         # 1 core. Job A (2s) starts alone; B (1s) arrives at t=1.
         sim, srv = make_server(capacity=1, job_cap=1)
-        job_a = srv.submit(2.0, tag="a")
-        sim.defer(1.0, lambda: srv.submit(1.0, tag="b"))
+        job_a = srv.submit(2.0)
+        sim.defer(1.0, lambda: srv.submit(1.0))
         sim.run()
         # At t=1, A has 1.0 left, B has 1.0; each at rate 0.5 -> both at t=3.
         assert job_a.finish_time == pytest.approx(3.0)
@@ -77,8 +77,8 @@ class TestDynamics:
 
     def test_cancel_removes_job_and_speeds_up_rest(self):
         sim, srv = make_server(capacity=1)
-        job_a = srv.submit(4.0, tag="a")
-        job_b = srv.submit(4.0, tag="b")
+        job_a = srv.submit(4.0)
+        job_b = srv.submit(4.0)
         sim.defer(2.0, lambda: srv.cancel(job_b))
         sim.run()
         # 2s shared (1.0 each done), then A alone finishes remaining 3.0.
@@ -275,7 +275,7 @@ class _UnitJobPool:
                 self.completed_rounds += 1
             if self._stopped:
                 return
-            x86.execute_job(work_s, tag="background", on_complete=spin_round)
+            x86.execute_job(work_s, on_complete=spin_round)
 
         for _index in range(n_processes):
             spin_round()

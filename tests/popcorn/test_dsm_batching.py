@@ -87,23 +87,13 @@ def migrate_pages_reference(dsm, src, dst, addrs):
         if entry.has_holder():
             dsm.stats.page_transfers += 1
             dsm.stats.bytes_transferred += dsm.page_size
-            transfers.append(
-                dsm.link.transfer(dsm.page_size, tag=("dsm-migrate", dst, 1))
-            )
+            transfers.append(dsm.link.transfer(dsm.page_size))
 
     def finish(_ev=None):
         for page in to_claim:
             entry = directory[page]
             entry.invalidate_all()
             entry.states[dst] = PageState.MODIFIED
-        dsm.tracer.record(
-            "dsm",
-            f"{src} -> {dst}: migrated {len(to_claim)} pages "
-            f"({len(transfers)} over the wire, per-page)",
-            src=src,
-            dst=dst,
-            pages=len(to_claim),
-        )
         done.succeed(len(pages))
 
     if transfers:

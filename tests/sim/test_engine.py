@@ -145,6 +145,12 @@ class TestDefer:
             sim.defer(delay, lambda: None)
         assert sim.peek() is None
 
+    def test_infinite_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.defer(float("inf"), lambda: None)
+        assert sim.peek() is None
+
     def test_call_at_passes_its_argument(self):
         sim = Simulator()
         seen = []
@@ -158,6 +164,12 @@ class TestDefer:
             sim.call_at(float("nan"), lambda: None)
         assert sim.peek() is None
         assert sim.now == 0.0
+
+    def test_call_at_infinity_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.call_at(float("inf"), lambda: None)
+        assert sim.peek() is None
 
     def test_events_triggered_from_deferred_calls_keep_their_state(self):
         sim = Simulator()

@@ -1,6 +1,6 @@
-"""Unit tests for seeded RNG streams and the tracer."""
+"""Unit tests for seeded RNG streams."""
 
-from repro.sim import RandomStreams, Tracer
+from repro.sim import RandomStreams
 
 
 class TestRandomStreams:
@@ -36,40 +36,3 @@ class TestRandomStreams:
         assert not (child_a == child_b).all()
         assert not (child_a == parent_s).all()
 
-
-class TestTracer:
-    def test_records_with_clock(self):
-        clock = [0.0]
-        tracer = Tracer(clock=lambda: clock[0])
-        tracer.record("cat", "hello", key=1)
-        clock[0] = 5.0
-        tracer.record("cat", "world", key=2)
-        assert [r.time for r in tracer.records] == [0.0, 5.0]
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.record("cat", "msg")
-        assert tracer.records == []
-
-    def test_filter_by_category_and_data(self):
-        tracer = Tracer()
-        tracer.record("a", "one", node="x")
-        tracer.record("b", "two", node="x")
-        tracer.record("a", "three", node="y")
-        assert [r.message for r in tracer.filter("a")] == ["one", "three"]
-        assert [r.message for r in tracer.filter("a", node="x")] == ["one"]
-        assert tracer.count(node="x") == 2
-
-    def test_clear_and_dump(self):
-        tracer = Tracer()
-        tracer.record("cat", "msg")
-        assert "msg" in tracer.dump()
-        tracer.clear()
-        assert tracer.records == []
-        assert tracer.dump() == ""
-
-    def test_bind_clock_later(self):
-        tracer = Tracer()
-        tracer.bind_clock(lambda: 9.0)
-        tracer.record("cat", "late")
-        assert tracer.records[0].time == 9.0

@@ -184,6 +184,10 @@ class TestChaos:
             main(["chaos", "--quick", "--traffic", str(path)])
 
 
+#: An output path whose directory does not exist.
+_MISSING_DIR_FILE = "no-such-directory/out.json"
+
+
 class TestArgumentTypes:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -234,6 +238,19 @@ class TestArgumentTypes:
             (["chaos", "--quick", "--slo-goodput", "-1"], "--slo-goodput"),
             (["chaos", "--quick", "--horizon", "nan"], "--horizon"),
             (["fleet", "--gossip-interval", "0"], "--gossip-interval"),
+            # An output file in a missing directory fails before the
+            # run, not with a traceback after it.
+            (["run", "digit.500", "--timeline", _MISSING_DIR_FILE], "--timeline"),
+            (["chaos", "--quick", "--json", _MISSING_DIR_FILE], "--json"),
+            (["cohort", "--clients", "10", "--json", _MISSING_DIR_FILE], "--json"),
+            (
+                ["fleet", "--nodes", "1", "--clients", "10", "--json", _MISSING_DIR_FILE],
+                "--json",
+            ),
+            (["metrics", "--set-size", "1", "--json", _MISSING_DIR_FILE], "--json"),
+            (["metrics", "--set-size", "1", "--csv", _MISSING_DIR_FILE], "--csv"),
+            (["traffic", "--out", _MISSING_DIR_FILE], "--out"),
+            (["run", "digit.500", "--timeline", ""], "--timeline"),
         ],
     )
     def test_bad_values_get_a_usage_error(self, capsys, argv, flag):
