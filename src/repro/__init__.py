@@ -21,11 +21,15 @@ Subpackages:
 * :mod:`repro.experiments` — every table and figure, regenerated
 """
 
-from repro.core import SystemMode, XarTrekRuntime, build_system
-from repro.types import Target
-from repro.workloads import PAPER_BENCHMARKS
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__ = lazy_exports(globals(), {
+    ".core": ("SystemMode", "XarTrekRuntime", "build_system"),
+    ".types": ("Target",),
+    ".workloads": ("PAPER_BENCHMARKS",),
+})
 
 __all__ = [
     "PAPER_BENCHMARKS",

@@ -29,7 +29,6 @@ from repro.core import SystemMode, build_system
 from repro.core.runtime import spec_for
 from repro.experiments.report import REPORT_FIGURES as _FIGURES
 from repro.experiments.report import REPORT_TABLES as _TABLES
-from repro.popcorn.elf import dump_xelf
 from repro.workloads import (
     PAPER_BENCHMARKS,
     CalibrationError,
@@ -102,6 +101,14 @@ def _output_file(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"expected a file in an existing directory, got {text!r}"
         )
+    return text
+
+
+def _input_file(text: str) -> str:
+    """An argparse type: a file that exists, so a missing input is a
+    usage error, not a traceback."""
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"expected an existing file, got {text!r}")
     return text
 
 
@@ -203,19 +210,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the scale_stress workload under a fault plan and "
         "verify graceful degradation",
     )
-    chaos.add_argument("--plan", default=None, metavar="FILE",
+    chaos.add_argument("--plan", type=_input_file, default=None, metavar="FILE",
                        help="fault plan JSON (default: generate from --seed)")
     chaos.add_argument("--quick", action="store_true",
                        help="reduced fleet for CI smoke runs")
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--json", type=_output_file, default=None, metavar="FILE",
                        help="also write the chaos report as JSON")
-    chaos.add_argument("--emit-plan", default=None, metavar="FILE",
+    chaos.add_argument("--emit-plan", type=_output_file, default=None, metavar="FILE",
                        help="write the (possibly generated) plan here and exit")
     chaos.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                        help="run the baseline and chaos legs in N>1 pool "
                        "workers (0 or 'auto' = all CPUs; default: serial)")
-    chaos.add_argument("--traffic", default=None, metavar="FILE",
+    chaos.add_argument("--traffic", type=_input_file, default=None, metavar="FILE",
                        help="replay this traffic trace JSON (see `repro "
                        "traffic`) instead of the seeded workload")
     chaos.add_argument("--brownout-floor", type=_fraction, default=None,
@@ -240,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="generate, inspect, or replay a trace-driven open-loop "
         "arrival workload (diurnal + flash-crowd spikes)",
     )
-    traffic.add_argument("--load", default=None, metavar="FILE",
+    traffic.add_argument("--load", type=_input_file, default=None, metavar="FILE",
                          help="load an existing trace JSON instead of "
                          "generating one")
     traffic.add_argument("--apps", nargs="+", type=_workload, default=None,
@@ -473,6 +480,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         cus = {k: image.compute_units(k) for k in image.kernel_names}
         print(f"{image_name}: {image.size_bytes / 1e6:.2f} MB, compute units {cus}")
     if args.output_dir:
+        from repro.popcorn.elf import dump_xelf
+
         os.makedirs(args.output_dir, exist_ok=True)
         for name, app in result.applications.items():
             path = os.path.join(args.output_dir, f"{name}.xelf")

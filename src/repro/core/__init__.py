@@ -6,25 +6,29 @@ instrumented-application model (:mod:`application`), and the deployed
 runtime facade (:mod:`runtime`).
 """
 
-from repro.core.application import ApplicationRun, RunRecord, SystemMode
-from repro.core.client import ThresholdUpdater, UpdateOutcome
-from repro.core.cohort import (
-    ArrivalLaw,
-    CohortError,
-    CohortPopulation,
-    CohortResult,
-    CohortRunResult,
-    CohortSpec,
-)
-from repro.core.policies import (
-    PolicyFn,
-    cost_model_policy,
-    energy_aware_policy,
-    marginal_run_energy,
-)
-from repro.core.policy import Decision, decide
-from repro.core.runtime import BackgroundLoad, XarTrekRuntime, build_system, spec_for
-from repro.core.server import SchedulerServer, ServerStats
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".application": ("ApplicationRun", "RunRecord", "SystemMode"),
+    ".client": ("ThresholdUpdater", "UpdateOutcome"),
+    ".cohort": (
+        "ArrivalLaw",
+        "CohortError",
+        "CohortPopulation",
+        "CohortResult",
+        "CohortRunResult",
+        "CohortSpec",
+    ),
+    ".policies": (
+        "PolicyFn",
+        "cost_model_policy",
+        "energy_aware_policy",
+        "marginal_run_energy",
+    ),
+    ".policy": ("Decision", "decide"),
+    ".runtime": ("BackgroundLoad", "XarTrekRuntime", "build_system", "spec_for"),
+    ".server": ("SchedulerServer", "ServerStats"),
+})
 
 __all__ = [
     "ApplicationRun",

@@ -33,7 +33,6 @@ from repro.popcorn.runtime import PopcornRuntime, PopcornThread
 from repro.popcorn.state import MachineState, StateTransformer
 from repro.sim import Event, SimulationError
 from repro.types import Target
-from repro.workloads import create_workload
 from repro.xrt import XRTError
 
 __all__ = ["SystemMode", "RunRecord", "ApplicationRun"]
@@ -193,6 +192,8 @@ class ApplicationRun:
 
     def _run_functional(self) -> None:
         """Execute the real computation once and verify the result."""
+        from repro.workloads import create_workload
+
         workload = create_workload(self.app.name)
         inp = workload.generate_input(self.seed)
         output = workload.run_kernel(inp)

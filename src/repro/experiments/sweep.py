@@ -37,11 +37,9 @@ import math
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +55,9 @@ from repro.hardware.interconnect import ETHERNET_1GBPS, PCIE_GEN3_X16
 from repro.hardware.platform import HeterogeneousPlatform, XEON_BRONZE_3104
 from repro.metrics import MetricsRegistry
 from repro.workloads import PAPER_BENCHMARKS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "Cell",
@@ -528,6 +529,8 @@ def _pool_for(workers: int) -> ProcessPoolExecutor:
         _POOL = None
         _POOL_WORKERS = 0
     if _POOL is None:
+        from concurrent.futures import ProcessPoolExecutor
+
         _POOL = ProcessPoolExecutor(max_workers=workers)
         _POOL_WORKERS = workers
     return _POOL
@@ -590,6 +593,8 @@ def run_cells(
     mode = "serial"
     pool_workers = min(jobs, len(pending))
     if pool_workers > 1 and len(pending) >= _MIN_CELLS_PER_WORKER * pool_workers:
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = pool_workers
         mode = "parallel"
         chunk = max(1, math.ceil(len(pending) / (workers * 4)))

@@ -15,26 +15,25 @@ Layout:
   fleets (:class:`FleetFaultPlan`), one injector per targeted node.
 """
 
-from repro.faults.cohort import resolve_cohort_faults
-from repro.faults.fleet import FleetFaultPlan, fleet_fault_seeds
-from repro.faults.harness import (
-    BrownoutCriteria,
-    ChaosReport,
-    default_plan,
-    run_chaos,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultPlanError, FaultSpec
-from repro.faults.resilience import (
-    FALLBACK_REASONS,
-    SHED_REASONS,
-    BreakerState,
-    CircuitBreaker,
-    OverloadConfig,
-    OverloadGuard,
-    ResilienceConfig,
-    ResiliencePolicy,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".cohort": ("resolve_cohort_faults",),
+    ".fleet": ("FleetFaultPlan", "fleet_fault_seeds"),
+    ".harness": ("BrownoutCriteria", "ChaosReport", "default_plan", "run_chaos"),
+    ".injector": ("FaultInjector",),
+    ".plan": ("FAULT_KINDS", "FaultPlan", "FaultPlanError", "FaultSpec"),
+    ".resilience": (
+        "FALLBACK_REASONS",
+        "SHED_REASONS",
+        "BreakerState",
+        "CircuitBreaker",
+        "OverloadConfig",
+        "OverloadGuard",
+        "ResilienceConfig",
+        "ResiliencePolicy",
+    ),
+})
 
 __all__ = [
     "FAULT_KINDS",

@@ -8,17 +8,21 @@ the node; the node's Algorithm-2 scheduler picks the target). See
 ``docs/fleet.md``.
 """
 
-from repro.fleet.deployment import (
-    DATACENTER_FABRIC,
-    FleetCohortResult,
-    FleetConfig,
-    FleetDeployment,
-    FleetError,
-    node_seeds,
-)
-from repro.fleet.gossip import GossipBus, GossipError, LoadDigest
-from repro.fleet.node import FleetNode
-from repro.fleet.router import FleetRouter, RouteOutcome
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".deployment": (
+        "DATACENTER_FABRIC",
+        "FleetCohortResult",
+        "FleetConfig",
+        "FleetDeployment",
+        "FleetError",
+        "node_seeds",
+    ),
+    ".gossip": ("GossipBus", "GossipError", "LoadDigest"),
+    ".node": ("FleetNode",),
+    ".router": ("FleetRouter", "RouteOutcome"),
+})
 
 __all__ = [
     "DATACENTER_FABRIC",

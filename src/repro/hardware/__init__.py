@@ -1,17 +1,21 @@
 """Hardware substrate models: CPUs, FPGA, interconnects, platform."""
 
-from repro.hardware.cpu import CPUCluster, CPUSpec
-from repro.hardware.fpga import ALVEO_U50, ConfigImage, FPGADevice, FPGAResources, FPGASpec
-from repro.hardware.interconnect import ETHERNET_1GBPS, PCIE_GEN3_X16, Link, LinkSpec
-from repro.hardware.platform import (
-    THUNDERX,
-    XEON_BRONZE_3104,
-    HeterogeneousPlatform,
-    paper_testbed,
-)
-from repro.hardware.power import DevicePower, EnergyMeter, EnergyReport, PowerModel
-from repro.hardware.server import Server, ServerSpec
-from repro.hardware.sharing import FairShareServer, Job
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".cpu": ("CPUCluster", "CPUSpec"),
+    ".fpga": ("ALVEO_U50", "ConfigImage", "FPGADevice", "FPGAResources", "FPGASpec"),
+    ".interconnect": ("ETHERNET_1GBPS", "PCIE_GEN3_X16", "Link", "LinkSpec"),
+    ".platform": (
+        "THUNDERX",
+        "XEON_BRONZE_3104",
+        "HeterogeneousPlatform",
+        "paper_testbed",
+    ),
+    ".power": ("DevicePower", "EnergyMeter", "EnergyReport", "PowerModel"),
+    ".server": ("Server", "ServerSpec"),
+    ".sharing": ("FairShareServer", "Job"),
+})
 
 __all__ = [
     "ALVEO_U50",

@@ -7,16 +7,20 @@ gauges, histograms in a :class:`MetricsRegistry`) and
 ``python -m repro metrics`` CLI.
 """
 
-from repro.metrics.core import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_PERCENTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-)
-from repro.metrics.export import flatten, to_csv, to_json
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".core": (
+        "DEFAULT_LATENCY_BUCKETS",
+        "DEFAULT_PERCENTILES",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricError",
+        "MetricsRegistry",
+    ),
+    ".export": ("flatten", "to_csv", "to_json"),
+})
 
 __all__ = [
     "Counter",

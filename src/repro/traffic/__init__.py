@@ -7,16 +7,20 @@ into the cohort machinery (:meth:`Trace.to_cohorts`) and into the
 chaos harness's trace mode (:func:`repro.faults.harness.run_chaos`).
 """
 
-from repro.traffic.generator import (
-    TRACE_SCHEMA,
-    SpikeWindow,
-    Trace,
-    TraceEntry,
-    TrafficError,
-    TrafficSpec,
-    generate_trace,
-)
-from repro.traffic.slo import SLOReport, SLOTarget, SLOTracker
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".generator": (
+        "TRACE_SCHEMA",
+        "SpikeWindow",
+        "Trace",
+        "TraceEntry",
+        "TrafficError",
+        "TrafficSpec",
+        "generate_trace",
+    ),
+    ".slo": ("SLOReport", "SLOTarget", "SLOTracker"),
+})
 
 __all__ = [
     "SLOReport",

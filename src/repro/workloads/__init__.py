@@ -5,30 +5,30 @@ each a real computation (pure, target-independent kernels) paired with
 a performance profile calibrated to the paper's Tables 1 and 4.
 """
 
-from repro.workloads.base import (
-    BFSWorkload,
-    CGWorkload,
-    DigitRecognitionWorkload,
-    FaceDetectionWorkload,
-    MGWorkload,
-    MultiImageFaceDetection,
-    SpamFilterWorkload,
-    Workload,
-)
-from repro.workloads.perfmodel import (
-    PAPER_TABLE1_MS,
-    PAPER_TABLE2,
-    PAPER_TABLE4_MS,
-    CalibrationError,
-    WorkloadProfile,
-    all_profiles,
-    profile_for,
-)
-from repro.workloads.registry import (
-    PAPER_BENCHMARKS,
-    available_workloads,
-    create_workload,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    ".base": (
+        "BFSWorkload",
+        "CGWorkload",
+        "DigitRecognitionWorkload",
+        "FaceDetectionWorkload",
+        "MGWorkload",
+        "MultiImageFaceDetection",
+        "SpamFilterWorkload",
+        "Workload",
+    ),
+    ".perfmodel": (
+        "PAPER_TABLE1_MS",
+        "PAPER_TABLE2",
+        "PAPER_TABLE4_MS",
+        "CalibrationError",
+        "WorkloadProfile",
+        "all_profiles",
+        "profile_for",
+    ),
+    ".registry": ("PAPER_BENCHMARKS", "available_workloads", "create_workload"),
+})
 
 __all__ = [
     "BFSWorkload",

@@ -186,6 +186,8 @@ class TestChaos:
 
 #: An output path whose directory does not exist.
 _MISSING_DIR_FILE = "no-such-directory/out.json"
+#: An input file that does not exist.
+_MISSING_FILE = "no-such-file.json"
 
 
 class TestArgumentTypes:
@@ -251,6 +253,11 @@ class TestArgumentTypes:
             (["metrics", "--set-size", "1", "--csv", _MISSING_DIR_FILE], "--csv"),
             (["traffic", "--out", _MISSING_DIR_FILE], "--out"),
             (["run", "digit.500", "--timeline", ""], "--timeline"),
+            (["chaos", "--quick", "--emit-plan", _MISSING_DIR_FILE], "--emit-plan"),
+            # A missing input file fails the same way, before any run.
+            (["chaos", "--quick", "--plan", _MISSING_FILE], "--plan"),
+            (["chaos", "--quick", "--traffic", _MISSING_FILE], "--traffic"),
+            (["traffic", "--load", _MISSING_FILE], "--load"),
         ],
     )
     def test_bad_values_get_a_usage_error(self, capsys, argv, flag):
