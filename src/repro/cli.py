@@ -24,9 +24,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.compiler import XarTrekCompiler
-from repro.core import SystemMode, build_system
-from repro.core.runtime import spec_for
 from repro.experiments.report import REPORT_FIGURES as _FIGURES
 from repro.experiments.report import REPORT_TABLES as _TABLES
 from repro.workloads import (
@@ -38,11 +35,13 @@ from repro.workloads import (
 
 __all__ = ["main"]
 
+#: ``--mode`` names and the ``SystemMode`` value each selects. The parser
+#: reads only the names, so ``repro --help`` loads no run-time module.
 _MODES = {
-    "x86": SystemMode.VANILLA_X86,
-    "arm": SystemMode.VANILLA_ARM,
-    "fpga": SystemMode.ALWAYS_FPGA,
-    "xar-trek": SystemMode.XAR_TREK,
+    "x86": "vanilla-x86",
+    "arm": "vanilla-arm",
+    "fpga": "always-fpga",
+    "xar-trek": "xar-trek",
 }
 
 
@@ -430,7 +429,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    mode = _MODES[args.mode]
+    from repro.core import SystemMode, build_system
+
+    mode = SystemMode(_MODES[args.mode])
     trace = bool(args.timeline)
     runtime = build_system([args.app], seed=args.seed, trace=trace)
     load = runtime.launch_background(args.background) if args.background else None
@@ -467,6 +468,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from repro.compiler import XarTrekCompiler
+    from repro.core.runtime import spec_for
+
     compiler = XarTrekCompiler(replicate_compute_units=args.replicate_cus)
     result = compiler.compile(spec_for(args.apps))
     for name, app in result.applications.items():
@@ -491,9 +495,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.core import SystemMode
     from repro.experiments.observability import high_load_metrics, metrics_experiment
 
-    mode = _MODES[args.mode]
+    mode = SystemMode(_MODES[args.mode])
     if args.apps:
         background = max(0, args.total_processes - len(args.apps))
         run = metrics_experiment(
@@ -613,6 +618,8 @@ def _deal_cohorts(args: argparse.Namespace):
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
     import json
+
+    from repro.core import build_system
 
     apps, specs = _deal_cohorts(args)
     result = build_system(apps, seed=args.seed).run_cohorts(
@@ -800,6 +807,9 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_thresholds(apps: list[str]) -> int:
+    from repro.compiler import XarTrekCompiler
+    from repro.core.runtime import spec_for
+
     result = XarTrekCompiler().compile(spec_for(apps))
     print(result.thresholds.to_text(), end="")
     return 0

@@ -129,7 +129,8 @@ class _ComputeUnits:
 
     A grant hands over no simulated time, so it runs the waiting
     invocation's continuation in place: at once when a unit is free,
-    otherwise when :meth:`release` frees one.
+    otherwise when :meth:`release` frees one. The waiting queue is made
+    on the first wait: most kernels of a configured image never queue.
     """
 
     __slots__ = ("capacity", "free", "waiting")
@@ -137,12 +138,14 @@ class _ComputeUnits:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.free = capacity
-        self.waiting: deque[Callable[[], None]] = deque()
+        self.waiting: Optional[deque[Callable[[], None]]] = None
 
     def acquire(self, run: Callable[[], None]) -> None:
         if self.free:
             self.free -= 1
             run()
+        elif self.waiting is None:
+            self.waiting = deque((run,))
         else:
             self.waiting.append(run)
 
@@ -270,7 +273,8 @@ class FPGADevice:
         # _inflight_execs; their continuations hold the unit and this
         # device, so clear them rather than leave them queued.
         for cu in self._compute_units.values():
-            cu.waiting.clear()
+            if cu.waiting:
+                cu.waiting.clear()
         self._compute_units = {}
         if self._reconfig_done is not None:
             done = self._reconfig_done
@@ -403,7 +407,7 @@ class FPGADevice:
     def queue_length(self, kernel_name: str) -> int:
         """Waiting invocations for ``kernel_name`` (excluding the running one)."""
         cu = self._compute_units.get(kernel_name)
-        return len(cu.waiting) if cu is not None else 0
+        return len(cu.waiting) if cu is not None and cu.waiting else 0
 
     def __repr__(self) -> str:
         image = self._image.name if self._image else None

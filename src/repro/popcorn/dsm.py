@@ -127,6 +127,7 @@ class DSM:
         sim: Simulator,
         link: Link,
         page_size: int = 4096,
+        runs: Optional[dict[tuple[int, int], list[int]]] = None,
     ):
         if page_size <= 0 or page_size & (page_size - 1):
             raise DSMError(f"page size must be a power of two, got {page_size}")
@@ -140,8 +141,10 @@ class DSM:
         self._spans: list[_Span] = []
         #: (first_page, n) -> expected dense page list; lets
         #: :meth:`_contiguous_run` recognize the recurring migration
-        #: working sets with one C-level list comparison.
-        self._run_cache: dict[tuple[int, int], list[int]] = {}
+        #: working sets with one C-level list comparison. The lists are
+        #: only read, so ``runs`` may be shared: a deployment passes its
+        #: compilation's ``page_runs``, one list per working set.
+        self._run_cache = {} if runs is None else runs
         self.stats = DSMStats()
 
     # -- topology ------------------------------------------------------------

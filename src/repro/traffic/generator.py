@@ -16,7 +16,8 @@ This module generates such arrival processes as replayable traces:
   the numpy ``default_rng`` stream);
 - heavy-tailed per-session lengths (bounded Pareto call counts), the
   classic "most sessions are short, the tail is very long" shape;
-- a frozen :class:`Trace` value that serialises to versioned JSON and
+- a frozen :class:`Trace` value, stored by column (a few bytes per
+  arrival, not an object each), that serialises to versioned JSON and
   converts losslessly into the existing cohort machinery via
   ``ArrivalLaw(kind="explicit")``, so every downstream consumer (the
   chaos harness, the bench, the CLI) replays the *same* arrivals bit
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from array import array
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -138,9 +140,9 @@ class TrafficSpec:
             )
         if self.calls_max < 1:
             raise TrafficError(f"calls_max must be >= 1, got {self.calls_max!r}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not 0.0 < self.deadline_s < math.inf:
             raise TrafficError(
-                f"deadline_s must be positive, got {self.deadline_s!r}"
+                f"deadline_s must be finite and positive, got {self.deadline_s!r}"
             )
         for spike in self.spikes:
             if spike.at_s >= self.horizon_s:
@@ -194,33 +196,121 @@ class TraceEntry:
             )
 
 
-@dataclass(frozen=True)
+#: Column type codes: an app code indexes ``Trace.apps`` (so at most
+#: 65,536 apps), and a session has at most 2**32 - 1 calls.
+_CODE_TYPE = "H"
+_CALLS_TYPE = "I"
+
+
+def _columns(rows: Iterable[tuple]) -> tuple:
+    """``(apps, arrivals, codes, calls, deadlines)`` from ``(app,
+    arrival_s, calls, deadline_s)`` rows; a value its column cannot hold
+    is refused, never truncated."""
+    apps: dict = {}
+    arrivals, codes = array("d"), array(_CODE_TYPE)
+    calls, deadlines = array(_CALLS_TYPE), array("d")
+    try:
+        for app, arrival_s, n_calls, deadline_s in rows:
+            codes.append(apps.setdefault(app, len(apps)))
+            arrivals.append(arrival_s)
+            calls.append(n_calls)
+            deadlines.append(math.nan if deadline_s is None else deadline_s)
+    except (OverflowError, TypeError) as exc:
+        raise TrafficError(f"a trace value does not fit its column: {exc}") from None
+    if arrivals != array("d", sorted(arrivals)):
+        raise TrafficError("trace entries must be sorted by arrival_s")
+    return tuple(apps), arrivals, codes, calls, deadlines
+
+
 class Trace:
-    """A replayable arrival trace: entries sorted by arrival time."""
+    """A replayable arrival trace: entries sorted by arrival time.
 
-    entries: tuple[TraceEntry, ...]
-    seed: int = 0
-    horizon_s: float = 0.0
+    A trace is stored by column, not as one object per arrival: arrival
+    times and deadlines (NaN for none) in ``array('d')``, each arrival's
+    app as a code into :attr:`apps` (the distinct apps in first-seen
+    order), and its call count in an unsigned array, about 22 bytes per
+    arrival in all. Iterating it, or reading :attr:`entries`, yields
+    equal :class:`TraceEntry` values. A trace is immutable and
+    hashable; two traces are equal when their columns, seed and horizon
+    are bit-identical.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        arrivals = [e.arrival_s for e in self.entries]
-        if arrivals != sorted(arrivals):
-            raise TrafficError("trace entries must be sorted by arrival_s")
+    __slots__ = (
+        "apps", "_arrivals", "_codes", "_calls", "_deadlines", "seed", "horizon_s"
+    )
+
+    def __init__(
+        self,
+        entries: Iterable[TraceEntry] = (),
+        seed: int = 0,
+        horizon_s: float = 0.0,
+    ):
+        rows = ((e.app, e.arrival_s, e.calls, e.deadline_s) for e in entries)
+        self.__setstate__((*_columns(rows), seed, horizon_s))
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in Trace.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(Trace.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        # Columns compare as bytes, so a NaN ("no deadline") equals itself.
+        return tuple(
+            v.tobytes() if isinstance(v, array) else v for v in self.__getstate__()
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(<{len(self)} arrivals>, apps={self.apps!r}, "
+            f"seed={self.seed!r}, horizon_s={self.horizon_s!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._arrivals)
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __iter__(self) -> Iterator[TraceEntry]:
+        # The columns hold only values a TraceEntry accepted or a
+        # validated spec drew, so decoding skips TraceEntry's checks.
+        apps, new = self.apps, object.__new__
+        for code, arrival_s, calls, deadline_s in zip(
+            self._codes, self._arrivals, self._calls, self._deadlines
+        ):
+            entry = new(TraceEntry)
+            entry.__dict__.update(
+                app=apps[code],
+                arrival_s=arrival_s,
+                calls=calls,
+                deadline_s=None if deadline_s != deadline_s else deadline_s,
+            )
+            yield entry
+
+    @property
+    def entries(self) -> tuple[TraceEntry, ...]:
+        return tuple(self)
 
     @property
     def clients(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     @property
     def total_calls(self) -> int:
-        return sum(e.calls for e in self.entries)
+        return sum(self._calls)
 
     def lines(self) -> list[str]:
         """Deterministic summary lines (checksum/replay input).
@@ -232,7 +322,7 @@ class Trace:
             f"trace:{self.clients}:{self.total_calls}:seed={self.seed}"
             f":horizon={self.horizon_s!r}"
         ]
-        for e in self.entries:
+        for e in self:
             out.append(
                 f"{e.app},{e.arrival_s!r},{e.calls},{e.deadline_s!r}"
             )
@@ -248,10 +338,10 @@ class Trace:
         conversion — the cohort model is deadline-free by design; use
         the chaos harness's trace mode for deadline-aware replay.)
         """
-        if not self.entries:
+        if not self:
             raise TrafficError("an empty trace has no cohorts")
         groups: dict[tuple[str, int], list[float]] = {}
-        for entry in self.entries:
+        for entry in self:
             groups.setdefault((entry.app, entry.calls), []).append(entry.arrival_s)
         return [
             CohortSpec(
@@ -276,7 +366,7 @@ class Trace:
                     "calls": e.calls,
                     "deadline_s": e.deadline_s,
                 }
-                for e in self.entries
+                for e in self
             ],
         }
 
@@ -295,25 +385,8 @@ class Trace:
         raw = payload.get("entries")
         if not isinstance(raw, list):
             raise TrafficError("trace payload needs an `entries` list")
-        entries = []
-        for item in raw:
-            try:
-                entries.append(
-                    TraceEntry(
-                        app=item["app"],
-                        arrival_s=float(item["arrival_s"]),
-                        calls=int(item["calls"]),
-                        deadline_s=(
-                            None
-                            if item.get("deadline_s") is None
-                            else float(item["deadline_s"])
-                        ),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TrafficError(f"malformed trace entry {item!r}: {exc}") from exc
         return cls(
-            entries=tuple(entries),
+            entries=_entries_of(raw),
             seed=int(payload.get("seed", 0)),
             horizon_s=float(payload.get("horizon_s", 0.0)),
         )
@@ -340,6 +413,24 @@ class Trace:
             raise TrafficError(f"cannot read trace {path}: {exc}") from exc
 
 
+def _entries_of(raw: list) -> Iterator[TraceEntry]:
+    """The checked entries of a serialised trace, one at a time."""
+    for item in raw:
+        try:
+            yield TraceEntry(
+                app=item["app"],
+                arrival_s=float(item["arrival_s"]),
+                calls=int(item["calls"]),
+                deadline_s=(
+                    None
+                    if item.get("deadline_s") is None
+                    else float(item["deadline_s"])
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TrafficError(f"malformed trace entry {item!r}: {exc}") from exc
+
+
 def generate_trace(spec: TrafficSpec) -> Trace:
     """Sample a :class:`Trace` from ``spec`` (seeded, replayable).
 
@@ -348,28 +439,24 @@ def generate_trace(spec: TrafficSpec) -> Trace:
     ``spec.peak_rate_per_s`` and survive with probability
     ``rate_at(t) / peak``. Every random draw comes from one
     ``numpy.random.default_rng(spec.seed)`` stream in a fixed order,
-    so the same spec always yields the same trace.
+    so the same spec always yields the same trace. Each accepted
+    arrival goes straight into the trace's columns.
     """
     rng = np.random.default_rng(spec.seed)
     peak = spec.peak_rate_per_s
-    entries = []
-    t = 0.0
-    while True:
-        t += float(rng.exponential(1.0 / peak))
-        if t >= spec.horizon_s:
-            break
-        if float(rng.random()) * peak > spec.rate_at(t):
-            continue
-        app = spec.apps[int(rng.integers(len(spec.apps)))]
-        calls = 1 + min(spec.calls_max - 1, int(rng.pareto(spec.calls_alpha)))
-        entries.append(
-            TraceEntry(
-                app=app,
-                arrival_s=t,
-                calls=calls,
-                deadline_s=spec.deadline_s,
-            )
-        )
-    return Trace(
-        entries=tuple(entries), seed=spec.seed, horizon_s=spec.horizon_s
-    )
+
+    def arrivals():
+        t = 0.0
+        while True:
+            t += float(rng.exponential(1.0 / peak))
+            if t >= spec.horizon_s:
+                return
+            if float(rng.random()) * peak > spec.rate_at(t):
+                continue
+            app = spec.apps[int(rng.integers(len(spec.apps)))]
+            calls = 1 + min(spec.calls_max - 1, int(rng.pareto(spec.calls_alpha)))
+            yield app, t, calls, spec.deadline_s
+
+    trace = object.__new__(Trace)
+    trace.__setstate__((*_columns(arrivals()), spec.seed, spec.horizon_s))
+    return trace

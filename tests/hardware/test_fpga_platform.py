@@ -125,6 +125,19 @@ class TestFPGADevice:
         # Free again: the image can be swapped.
         sim.run_until_event(device.configure(FakeImage("b")))
 
+    def test_a_unit_makes_its_waiting_queue_on_the_first_wait(self):
+        sim = Simulator()
+        device = FPGADevice(sim, ALVEO_U50)
+        sim.run_until_event(device.configure(FakeImage()))
+        sim.run_until_event(device.execute("k1", 1.0))
+        units = device._compute_units
+        assert units["k1"].waiting is None and units["k2"].waiting is None
+        assert device.queue_length("k1") == 0
+        first, second = device.execute("k1", 1.0), device.execute("k1", 1.0)
+        assert device.queue_length("k1") == 1 and units["k2"].waiting is None
+        sim.run_until_event(second)
+        assert first.ok and device.queue_length("k1") == 0
+
     def test_different_kernels_run_concurrently(self):
         sim = Simulator()
         device = FPGADevice(sim, ALVEO_U50)

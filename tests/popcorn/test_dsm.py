@@ -178,3 +178,20 @@ class TestInvariants:
                 assert state == PageState.MODIFIED
             else:
                 assert state in (PageState.SHARED, PageState.MODIFIED)
+
+
+def test_deployments_of_one_compilation_share_their_page_runs():
+    # The expected working-set page list is a pure function of the
+    # compilation, so every deployment's DSM reads the one its
+    # CompilationResult keeps instead of building its own.
+    from repro.core import SystemMode, build_system
+
+    runtimes = [build_system(["digit.500"], seed=seed) for seed in (0, 1)]
+    for runtime in runtimes:
+        runtime.launch_background(40)
+        record = runtime.platform.sim.run_until_event(
+            runtime.launch("digit.500", seed=1, mode=SystemMode.XAR_TREK, calls=3)
+        )
+        assert record.migrations > 0
+    runs = runtimes[0].result.page_runs
+    assert runs and all(runtime.dsm._run_cache is runs for runtime in runtimes)

@@ -4,7 +4,8 @@ Packages resolve their public names on first access (``repro._lazy``),
 so a simulation never loads the MiniC/VM toolchain, the workload
 kernels, the experiments layer beyond the set harness, the chaos
 harness or the sweep's process pool. The first test holds a fresh
-interpreter to that; the others hold every package's name table to
+interpreter to that, the second holds the CLI's parser to loading no
+run-time at all, and the others hold every package's name table to
 ``__all__``.
 """
 
@@ -90,6 +91,22 @@ def _fresh_python(code: str) -> str:
 def test_a_simulation_loads_none_of_what_it_does_not_run():
     loaded = set(json.loads(_fresh_python(_SIMULATION)))
     assert sorted(loaded.intersection(_NOT_RUN)) == []
+
+
+def test_the_cli_parser_loads_no_run_time():
+    # `repro --help` reads only the report's table and figure names and
+    # the workload registry; each command imports what it runs.
+    loaded = json.loads(_fresh_python(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    ))
+    run_time = ("repro.compiler", "repro.core", "repro.popcorn", "repro.xrt",
+                "repro.faults", "repro.fleet")
+    assert sorted(
+        name for name in loaded
+        if any(name == pkg or name.startswith(pkg + ".") for pkg in run_time)
+    ) == []
 
 
 def test_a_submodule_resolves_as_an_attribute_before_it_is_imported():

@@ -45,6 +45,8 @@ class TestSpecValidation:
             {"calls_alpha": 0.0},
             {"calls_max": 0},
             {"deadline_s": 0.0},
+            {"deadline_s": float("inf")},
+            {"deadline_s": float("nan")},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -138,6 +140,13 @@ class TestTraceValue:
     def test_bad_entry_rejected(self, kwargs):
         with pytest.raises(TrafficError):
             TraceEntry(**kwargs)
+
+    def test_a_value_too_large_for_its_column_is_refused(self):
+        # 2**32 calls does not fit the 32-bit column: refused, not wrapped.
+        with pytest.raises(TrafficError, match="does not fit its column"):
+            Trace(entries=(TraceEntry(app="a", arrival_s=0.0, calls=2**32),))
+        with pytest.raises(TrafficError, match="does not fit its column"):
+            generate_trace(_spec(calls_alpha=0.01, calls_max=2**40))
 
     def test_totals(self):
         trace = Trace(
