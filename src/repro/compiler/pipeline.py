@@ -48,14 +48,11 @@ class CompiledApplication:
 class CompilationResult:
     """The deployable bundle: binaries, images, and the threshold table.
 
-    ``initial_states``, ``working_sets`` and ``page_runs`` hold run-time
-    state that is a pure function of the frozen artifacts above: each
-    application's prototype initial machine state, the dirty working-set
-    page addresses by (machine-state size, migration-state bytes), and
-    the DSM's expected page list by (first page, page count). The first
-    deployment that needs an entry fills it; every deployment of this
-    result (``build_system`` caches results per application set) shares
-    it.
+    ``initial_states`` holds each application's prototype initial
+    machine state: run-time state, but a pure function of the frozen
+    artifacts above. The first deployment that needs an entry fills it;
+    every deployment of this result (``build_system`` caches results
+    per application set) shares it.
     """
 
     applications: dict[str, CompiledApplication]
@@ -63,12 +60,6 @@ class CompilationResult:
     thresholds: ThresholdTable
     device: FPGASpec
     initial_states: dict[str, MachineState] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    working_sets: dict[tuple[int, int], tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    page_runs: dict[tuple[int, int], list[int]] = field(
         default_factory=dict, repr=False, compare=False
     )
 

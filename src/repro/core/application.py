@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.compiler.pipeline import CompiledApplication
 from repro.core.server import RequestShed, SchedulerUnavailable
+from repro.popcorn.dsm import PAGE_SIZE
 from repro.popcorn.migration_points import CType
 from repro.popcorn.runtime import PopcornRuntime, PopcornThread
 from repro.popcorn.state import MachineState, StateTransformer
@@ -39,7 +40,6 @@ __all__ = ["SystemMode", "RunRecord", "ApplicationRun"]
 
 #: Heap base for a migrating thread's dirty working set.
 _WORKING_SET_BASE = 0x2000_0000
-_PAGE = 4096
 
 
 class SystemMode(enum.Enum):
@@ -130,11 +130,6 @@ class ApplicationRun:
             deadline_s=deadline_s,
         )
         self._thread: Optional[PopcornThread] = None
-        #: Working-set page lists keyed by machine-state size; the
-        #: payload only depends on the (frozen) profile and that size,
-        #: so rebuilding thousands of page addresses per migration is
-        #: pure waste.
-        self._ws_cache: dict[int, list[int]] = {}
         # Chain-path state (see _chain_begin): one mutable cursor per
         # run instead of a generator frame.
         self._done: Optional[Event] = None
@@ -265,39 +260,20 @@ class ApplicationRun:
                 )
             state = MachineState(isa="x86_64", frames=frames)
             cache[self.app.name] = state
-        self._thread = popcorn.spawn_thread(
+        thread = self._thread = popcorn.spawn_thread(
             self.app.compiled.binary, state, Target.X86
         )
         if popcorn.dsm is not None:
-            popcorn.dsm.seed_pages(str(Target.X86), self._working_set_addrs(state))
-        return self._thread
-
-    def _working_set_addrs(self, state: MachineState) -> list[int]:
-        size = state.size_bytes()
-        addrs = self._ws_cache.get(size)
-        if addrs is None:
-            # The address list itself is a pure function of (state size,
-            # profile), so runs on every deployment of the compilation
-            # share one immutable prototype and each run takes a
-            # C-speed list copy. The copy stays per-run on purpose:
-            # migration ships a working set once and then clears this
-            # very list object, so sharing it across runs would change
-            # what later clients transfer.
-            proto_cache = self.runtime.result.working_sets
-            key = (size, self.profile.migration_state_bytes)
-            proto = proto_cache.get(key)
-            if proto is None:
-                payload = max(0, self.profile.migration_state_bytes - size)
-                n_pages = payload // _PAGE
-                proto = proto_cache[key] = tuple(
-                    _WORKING_SET_BASE + i * _PAGE for i in range(n_pages)
-                )
-            addrs = list(proto)
-            self._ws_cache[size] = addrs
-        return addrs
-
-    def _mark_working_set(self, thread: PopcornThread) -> None:
-        thread.dirty_addresses = self._working_set_addrs(thread.state)
+            # The working set is the migration payload beyond the state,
+            # in whole pages. x86 and ARM states have one size, so a run
+            # has one working set: the first migration ships it and
+            # leaves the thread clean, and nothing dirties it again.
+            payload = self.profile.migration_state_bytes - state.size_bytes()
+            end = _WORKING_SET_BASE + max(0, payload) // PAGE_SIZE * PAGE_SIZE
+            pages = range(_WORKING_SET_BASE, end, PAGE_SIZE)
+            popcorn.dsm.seed_pages(str(Target.X86), pages)
+            thread.dirty_pages = pages
+        return thread
 
     # -- precompiled callback chain (the client lifecycle) ----------------------
     #
@@ -662,7 +638,6 @@ class ApplicationRun:
             if popcorn is None:
                 popcorn = self._popcorn = self.runtime.popcorn_for(self.app.name)
             thread = self._ensure_thread(popcorn)
-            self._mark_working_set(thread)
             popcorn.migrate(thread, Target.ARM).callbacks.append(self._arm_arrived)
         except BaseException as exc:
             self._chain_fail(exc)
@@ -678,9 +653,7 @@ class ApplicationRun:
 
     def _arm_func_done(self, _job) -> None:
         try:
-            thread = self._thread
-            self._mark_working_set(thread)  # results dirtied on the ARM side
-            self._popcorn.migrate(thread, Target.X86).callbacks.append(
+            self._popcorn.migrate(self._thread, Target.X86).callbacks.append(
                 self._arm_returned
             )
         except BaseException as exc:

@@ -200,9 +200,7 @@ class XarTrekRuntime:
         )
         self.dsm: Optional[DSM] = None
         if use_dsm:
-            self.dsm = DSM(
-                self.platform.sim, self.platform.ethernet, runs=result.page_runs
-            )
+            self.dsm = DSM(self.platform.sim, self.platform.ethernet)
             self.dsm.add_node(str(Target.X86))
             self.dsm.add_node(str(Target.ARM))
         self._popcorn: dict[str, PopcornRuntime] = {}

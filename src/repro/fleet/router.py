@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.metrics import MetricsRegistry
-from repro.popcorn.dsm import DSM
+from repro.popcorn.dsm import DSM, PAGE_SIZE
 from repro.workloads import profile_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,8 +46,6 @@ __all__ = ["FleetRouter", "RouteOutcome"]
 #: space; far above the per-application bases so fleet DSM ranges can
 #: never collide with an application's own pages.
 _WORKING_SET_BASE = 0x4000_0000
-
-_PAGE = 4096
 
 
 class RouteOutcome:
@@ -87,9 +85,9 @@ class FleetRouter:
         #: a wave of arrivals inside one gossip interval spreads out
         #: instead of herding onto the stale all-equal view.
         self._assigned_counts = [0] * len(self.nodes)
-        #: client key -> (base address, page count) of its fleet DSM
-        #: working-set range (allocated on first cross-node migration).
-        self._working_sets: dict[object, tuple[int, int]] = {}
+        #: client key -> its fleet DSM working set, a page range
+        #: (allocated on first cross-node migration).
+        self._client_pages: dict[object, range] = {}
         self._next_base = _WORKING_SET_BASE
         #: ``(gossip version, candidate indexes) -> fleet floor``.
         #: Digest scores only change at gossip rounds, so the min over
@@ -232,24 +230,24 @@ class FleetRouter:
         self._m_migrations.inc()
         if self.dsm is None:
             return
-        base, npages = self._working_set(client_key, app, src)
-        addrs = range(base, base + npages * _PAGE, _PAGE)
-        self._m_migration_bytes.inc(npages * _PAGE)
-        done = self.dsm.migrate_pages(src.name, dst.name, addrs)
+        pages = self._working_set(client_key, app, src)
+        self._m_migration_bytes.inc(len(pages) * PAGE_SIZE)
+        done = self.dsm.migrate_pages(src.name, dst.name, pages)
         done.defused = True  # accounting traffic; nobody waits on it
 
     def _working_set(
         self, client_key: object, app: str, src: "FleetNode"
-    ) -> tuple[int, int]:
+    ) -> range:
         """The client's fleet-DSM page range, seeded at ``src`` on
         first use (pages it dirtied before ever migrating)."""
-        existing = self._working_sets.get(client_key)
-        if existing is not None:
-            return existing
+        pages = self._client_pages.get(client_key)
+        if pages is not None:
+            return pages
         nbytes = profile_for(app).migration_state_bytes
-        npages = max(1, -(-nbytes // _PAGE))
         base = self._next_base
-        self._next_base += npages * _PAGE
-        self.dsm.seed_pages(src.name, range(base, base + npages * _PAGE, _PAGE))
-        self._working_sets[client_key] = (base, npages)
-        return base, npages
+        self._next_base += max(1, -(-nbytes // PAGE_SIZE)) * PAGE_SIZE
+        pages = self._client_pages[client_key] = range(
+            base, self._next_base, PAGE_SIZE
+        )
+        self.dsm.seed_pages(src.name, pages)
+        return pages

@@ -8,38 +8,35 @@ travel over the (shared, fair-shared) Ethernet link model — so DSM
 traffic from one migrating application slows down another's, as on the
 real testbed.
 
-Two directory representations coexist:
-
-* per-page :class:`_PageEntry` rows in ``directory`` — authoritative
-  for every page that has been touched individually (``read`` /
-  ``write`` faults);
-* uniform *spans* — contiguous page ranges whose every page shares one
-  MSI state map. Working-set operations (:meth:`DSM.seed_pages`,
-  :meth:`DSM.migrate_pages` over a contiguous range) create and move
-  spans wholesale, so migrating an N-page working set costs O(spans)
-  directory work and one link busy-period instead of N per-page
-  entries and N event chains. An individual fault inside a span
-  materializes just that page back into ``directory``.
-
-The two layers are disjoint by construction: a page is either in
-``directory`` or covered by exactly one span (or untouched). The
-batched span path is *semantically identical* to running the per-page
-protocol — ``tests/popcorn/test_dsm_batching.py`` keeps the
-page-by-page protocol as the executable specification and pins the
-batched path to it with hypothesis property tests on stats, states,
-and completion times.
+The directory is one representation: a sorted list of disjoint
+*spans*, contiguous page ranges whose every page shares one MSI state
+map. A working set is one contiguous run of pages, a ``range`` of page
+addresses with step :data:`PAGE_SIZE`; :meth:`DSM.seed_pages` and
+:meth:`DSM.migrate_pages` lay it down and move it span by span, so
+migrating an N-page working set costs O(spans) directory work and one
+link busy-period, not N page faults. A ``read`` or ``write`` fault
+splits its page out as a one-page span. The batched path is
+*semantically identical* to running the per-page protocol —
+``tests/popcorn/test_dsm_batching.py`` keeps the page-by-page protocol
+as the executable specification and pins the batched path to it with
+hypothesis property tests on stats, states, and completion times.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Optional
 
 from repro.hardware.interconnect import Link
 from repro.sim import Event, Simulator
 
-__all__ = ["PageState", "DSMStats", "DSM", "DSMError"]
+__all__ = ["PAGE_SIZE", "PageState", "DSMStats", "DSM", "DSMError"]
+
+#: Bytes per page; a working set is a ``range`` of page addresses with
+#: this step.
+PAGE_SIZE = 4096
 
 #: Size of a protocol control message (invalidate / ack / request) in bytes.
 CONTROL_MESSAGE_BYTES = 64
@@ -69,26 +66,19 @@ class DSMStats:
 
 
 @dataclass(slots=True)
-class _PageEntry:
-    """Directory entry: which node holds the page in which state."""
+class _Span:
+    """A contiguous page range whose pages all share one state map.
 
+    ``start`` / ``end`` are page addresses (end exclusive, both
+    page-aligned). Spans never overlap.
+    """
+
+    start: int
+    end: int
     states: dict[str, str] = field(default_factory=dict)
 
     def holders(self) -> list[str]:
         return [n for n, s in self.states.items() if s != PageState.INVALID]
-
-    def has_holder(self) -> bool:
-        """True if any node holds a valid (S/M) copy; avoids building
-        the holder list on the migration fast path."""
-        for state in self.states.values():
-            if state != PageState.INVALID:
-                return True
-        return False
-
-    def invalidate_all(self) -> None:
-        states = self.states
-        for node in states:
-            states[node] = PageState.INVALID
 
     def owner(self) -> Optional[str]:
         for node, state in self.states.items():
@@ -97,54 +87,33 @@ class _PageEntry:
         return None
 
 
-@dataclass(slots=True)
-class _Span:
-    """A contiguous page range whose pages all share one state map.
+_start = attrgetter("start")
 
-    ``start`` / ``end`` are page addresses (end exclusive, both
-    page-aligned). Spans never overlap each other or ``directory``.
-    """
 
-    start: int
-    end: int
-    states: dict[str, str] = field(default_factory=dict)
-
-    def npages(self, page_size: int) -> int:
-        return (self.end - self.start) // page_size
-
-    def has_holder(self) -> bool:
-        for state in self.states.values():
-            if state != PageState.INVALID:
-                return True
-        return False
+def _run_bounds(pages: range) -> tuple[int, int]:
+    """``[start, end)`` of a working set, which must be a ``range`` of
+    page addresses with step :data:`PAGE_SIZE`."""
+    if (
+        not isinstance(pages, range)
+        or pages.step != PAGE_SIZE
+        or pages.start % PAGE_SIZE
+    ):
+        raise DSMError(
+            f"a working set is a range of page addresses with step "
+            f"{PAGE_SIZE}, got {pages!r}"
+        )
+    return pages.start, pages.start + len(pages) * PAGE_SIZE
 
 
 class DSM:
     """A directory-based MSI DSM over a link model."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Link,
-        page_size: int = 4096,
-        runs: Optional[dict[tuple[int, int], list[int]]] = None,
-    ):
-        if page_size <= 0 or page_size & (page_size - 1):
-            raise DSMError(f"page size must be a power of two, got {page_size}")
+    def __init__(self, sim: Simulator, link: Link):
         self.sim = sim
         self.link = link
-        self.page_size = page_size
         self.nodes: set[str] = set()
-        self.directory: dict[int, _PageEntry] = {}
-        #: Uniform-state spans, sorted by start, disjoint from each
-        #: other and from ``directory``.
+        #: The directory: disjoint uniform-state spans, sorted by start.
         self._spans: list[_Span] = []
-        #: (first_page, n) -> expected dense page list; lets
-        #: :meth:`_contiguous_run` recognize the recurring migration
-        #: working sets with one C-level list comparison. The lists are
-        #: only read, so ``runs`` may be shared: a deployment passes its
-        #: compilation's ``page_runs``, one list per working set.
-        self._run_cache = {} if runs is None else runs
         self.stats = DSMStats()
 
     # -- topology ------------------------------------------------------------
@@ -158,164 +127,54 @@ class DSM:
             raise DSMError(f"unknown DSM node {node!r}")
 
     def page_of(self, addr: int) -> int:
-        return addr & ~(self.page_size - 1)
+        return addr & ~(PAGE_SIZE - 1)
 
     def page_state(self, node: str, addr: int) -> str:
         self._check_node(node)
         page = self.page_of(addr)
-        entry = self.directory.get(page)
-        if entry is not None:
-            return entry.states.get(node, PageState.INVALID)
-        span = self._span_at(page)
-        if span is not None:
-            return span.states.get(node, PageState.INVALID)
+        i = bisect_right(self._spans, page, key=_start) - 1
+        if i >= 0 and page < self._spans[i].end:
+            return self._spans[i].states.get(node, PageState.INVALID)
         return PageState.INVALID
 
-    # -- span layer ----------------------------------------------------------
-    def _span_index(self, page: int) -> int:
-        """Index of the last span with start <= page (bisect on starts)."""
-        lo, hi = 0, len(self._spans)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._spans[mid].start <= page:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
-
-    def _span_at(self, page: int) -> Optional[_Span]:
-        i = self._span_index(page)
-        if i >= 0:
-            span = self._spans[i]
-            if span.start <= page < span.end:
-                return span
-        return None
-
-    def _materialize(self, page: int) -> Optional[_PageEntry]:
-        """Move one span page into ``directory`` (splitting its span)."""
-        i = self._span_index(page)
-        if i < 0:
-            return None
-        span = self._spans[i]
-        if not span.start <= page < span.end:
-            return None
-        entry = _PageEntry(states=dict(span.states))
-        self.directory[page] = entry
-        replacement: list[_Span] = []
-        if span.start < page:
-            replacement.append(_Span(span.start, page, span.states))
-        if page + self.page_size < span.end:
-            replacement.append(
-                _Span(page + self.page_size, span.end, dict(span.states))
-            )
-        self._spans[i : i + 1] = replacement
-        return entry
-
-    def _split_spans_at(self, boundary: int) -> None:
-        """Ensure no span straddles ``boundary`` (a page address)."""
-        i = self._span_index(boundary)
-        if i < 0:
-            return
-        span = self._spans[i]
-        if span.start < boundary < span.end:
-            tail = _Span(boundary, span.end, dict(span.states))
-            span.end = boundary
-            self._spans.insert(i + 1, tail)
-
-    def _spans_in(self, start: int, end: int) -> list[_Span]:
-        """Spans fully inside [start, end) (after boundary splits)."""
-        self._split_spans_at(start)
-        self._split_spans_at(end)
-        lo = bisect_right([s.start for s in self._spans], start - 1)
-        out = []
-        for span in self._spans[lo:]:
-            if span.start >= end:
-                break
-            out.append(span)
-        return out
-
-    def _directory_pages_in(self, start: int, end: int) -> list[int]:
-        """Directory pages inside [start, end), cheapest-side scan."""
-        directory = self.directory
-        if not directory:
-            return []
-        n_range = (end - start) // self.page_size
-        if len(directory) <= n_range:
-            return sorted(p for p in directory if start <= p < end)
-        return [
-            page
-            for page in range(start, end, self.page_size)
-            if page in directory
-        ]
-
-    def _replace_range(self, start: int, end: int, states: dict[str, str]) -> None:
-        """Make [start, end) one uniform span with ``states``.
-
-        Every covered span and directory entry is absorbed; adjacent
-        spans with the same state map are *not* merged (the common
-        working-set ranges re-coalesce naturally on the next migrate).
-        """
-        for page in self._directory_pages_in(start, end):
-            del self.directory[page]
-        self._split_spans_at(start)
-        self._split_spans_at(end)
+    # -- the directory -------------------------------------------------------
+    def _split_at(self, boundary: int) -> int:
+        """Split the span straddling ``boundary`` (a page address) and
+        return the index of the first span that starts at or after it."""
         spans = self._spans
-        lo = 0
-        while lo < len(spans) and spans[lo].start < start:
-            lo += 1
-        hi = lo
-        while hi < len(spans) and spans[hi].start < end:
-            hi += 1
-        spans[lo:hi] = [_Span(start, end, states)]
+        i = bisect_right(spans, boundary, key=_start)
+        if i:
+            span = spans[i - 1]
+            if span.start == boundary:
+                return i - 1
+            if boundary < span.end:
+                spans.insert(i, _Span(boundary, span.end, dict(span.states)))
+                span.end = boundary
+        return i
 
-    def _contiguous_run(self, pages_sorted_hint: Sequence[int], mask: int, page_size: int):
-        """(start, end) if the addresses cover one contiguous ascending
-        page range (duplicates allowed), else ``None``.
+    def _covering(self, start: int, end: int) -> tuple[int, int]:
+        """``spans[lo:hi]``: the spans inside [start, end), split at its
+        boundaries."""
+        lo = self._split_at(start)
+        return lo, self._split_at(end)
 
-        The dominant caller is thread migration, which always passes the
-        same dense page-aligned working-set list; the fast path compares
-        the input against a cached expected run at C speed (one list
-        equality) instead of walking it address by address, and only
-        falls back to the exact per-address scan for irregular inputs.
-        """
-        if not pages_sorted_hint:
-            return None
-        first = pages_sorted_hint[0]
-        if first & mask == first:
-            n = len(pages_sorted_hint)
-            last = pages_sorted_hint[-1]
-            if last - first == (n - 1) * page_size:
-                cache = self._run_cache
-                expected = cache.get((first, n))
-                if expected is None:
-                    expected = cache[(first, n)] = list(
-                        range(first, first + n * page_size, page_size)
-                    )
-                if pages_sorted_hint == expected:
-                    return first, first + n * page_size
-        prev = pages_sorted_hint[0] & mask
-        start = prev
-        for addr in pages_sorted_hint:
-            page = addr & mask
-            if page == prev:
-                continue
-            if page != prev + page_size:
-                return None
-            prev = page
-        return start, prev + page_size
+    def _replace(self, start: int, end: int, states: dict[str, str]) -> None:
+        """Make [start, end) one span with ``states``, absorbing every
+        span it covers. Adjacent spans with the same state map are *not*
+        merged (a working set re-coalesces on its next migration)."""
+        if start < end:
+            lo, hi = self._covering(start, end)
+            self._spans[lo:hi] = [_Span(start, end, states)]
+
+    def _page_span(self, page: int) -> _Span:
+        """The one-page span of ``page``, split out of its span, or made
+        with no holder for a page never touched."""
+        lo, hi = self._covering(page, page + PAGE_SIZE)
+        if lo == hi:
+            self._spans.insert(lo, _Span(page, page + PAGE_SIZE))
+        return self._spans[lo]
 
     # -- protocol operations ----------------------------------------------------
-    def _fault_entry(self, page: int) -> _PageEntry:
-        """The per-page entry for an individual access, materializing
-        the page out of a span if needed."""
-        entry = self.directory.get(page)
-        if entry is None:
-            entry = self._materialize(page)
-        if entry is None:
-            entry = _PageEntry()
-            self.directory[page] = entry
-        return entry
-
     def read(self, node: str, addr: int) -> Event:
         """Gain read access to the page holding ``addr``.
 
@@ -324,7 +183,7 @@ class DSM:
         """
         self._check_node(node)
         page = self.page_of(addr)
-        entry = self._fault_entry(page)
+        entry = self._page_span(page)
         state = entry.states.get(node, PageState.INVALID)
         done = self.sim.event()
 
@@ -347,8 +206,8 @@ class DSM:
             if owner is not None:
                 entry.states[owner] = PageState.SHARED  # writeback/downgrade
             self.stats.page_transfers += 1
-            self.stats.bytes_transferred += self.page_size
-            self.link.transfer(self.page_size).callbacks.append(fetched)
+            self.stats.bytes_transferred += PAGE_SIZE
+            self.link.transfer(PAGE_SIZE).callbacks.append(fetched)
 
         def fetched(_ev: Event) -> None:
             entry.states[node] = PageState.SHARED
@@ -368,7 +227,7 @@ class DSM:
         """
         self._check_node(node)
         page = self.page_of(addr)
-        entry = self._fault_entry(page)
+        entry = self._page_span(page)
         state = entry.states.get(node, PageState.INVALID)
         done = self.sim.event()
 
@@ -401,8 +260,8 @@ class DSM:
         def invalidated() -> None:
             if need_payload:
                 self.stats.page_transfers += 1
-                self.stats.bytes_transferred += self.page_size
-                self.link.transfer(self.page_size).callbacks.append(owned)
+                self.stats.bytes_transferred += PAGE_SIZE
+                self.link.transfer(PAGE_SIZE).callbacks.append(owned)
             else:
                 owned()
 
@@ -423,114 +282,51 @@ class DSM:
             self.link.transfer(2 * CONTROL_MESSAGE_BYTES).callbacks.append(acked)
         return done
 
-    def seed_pages(self, node: str, addrs: Sequence[int]) -> None:
-        """Mark pages as locally modified at ``node`` with no traffic.
+    def seed_pages(self, node: str, pages: range) -> None:
+        """Mark the working set ``pages`` locally modified at ``node``,
+        with no traffic: one span, whatever was there before.
 
         Models memory a process allocated and wrote before the DSM ever
-        got involved (its pre-migration working set). A contiguous
-        ascending range (the common working-set shape) becomes one
-        uniform span in O(spans); arbitrary address lists fall back to
-        per-page entries.
+        got involved (its pre-migration working set).
         """
         self._check_node(node)
-        mask = ~(self.page_size - 1)
-        run = self._contiguous_run(addrs, mask, self.page_size)
-        if run is not None:
-            self._replace_range(run[0], run[1], {node: PageState.MODIFIED})
-            return
-        directory = self.directory
-        for addr in addrs:
-            page = addr & mask
-            entry = directory.get(page)
-            if entry is None and self._span_at(page) is not None:
-                entry = self._materialize(page)
-            if entry is None:
-                directory[page] = _PageEntry(states={node: PageState.MODIFIED})
-                continue
-            entry.invalidate_all()
-            entry.states[node] = PageState.MODIFIED
+        start, end = _run_bounds(pages)
+        self._replace(start, end, {node: PageState.MODIFIED})
 
-    def migrate_pages(self, src: str, dst: str, addrs: Sequence[int]) -> Event:
-        """Eagerly move a working set from ``src`` to ``dst`` (M at dst).
+    def migrate_pages(self, src: str, dst: str, pages: range) -> Event:
+        """Eagerly move the working set ``pages`` from ``src`` to ``dst``
+        (M at dst); the event fires with the number of pages.
 
         Used when a thread migrates: its dirty pages are pushed up front
         in one batched wire transfer (as Popcorn's migration path does)
-        instead of being faulted over one by one. A contiguous range is
-        accounted span-by-span — O(spans) directory work per migration,
-        identical stats and completion time to the per-page walk (and to
-        the page-by-page reference protocol in
-        ``tests/popcorn/test_dsm_batching.py``).
+        instead of being faulted over one by one, with O(spans)
+        directory work and the stats and completion time of the
+        page-by-page reference protocol in
+        ``tests/popcorn/test_dsm_batching.py``.
         """
         self._check_node(src)
         self._check_node(dst)
-        mask = ~(self.page_size - 1)
-        run = self._contiguous_run(addrs, mask, self.page_size)
-        if run is not None:
-            return self._migrate_range(dst, run[0], run[1])
+        start, end = _run_bounds(pages)
 
-        pages = sorted({a & mask for a in addrs})
-        n_pages = len(pages)
-        directory = self.directory
-        to_transfer = 0
-        to_claim: list[int] = []
-        for page in pages:
-            entry = directory.get(page)
-            if entry is None and self._span_at(page) is not None:
-                entry = self._materialize(page)
-            if entry is None:
-                directory[page] = _PageEntry()
-                to_claim.append(page)
-                continue
-            if entry.states.get(dst) == PageState.MODIFIED:
-                continue
-            to_claim.append(page)
-            if entry.has_holder():
-                to_transfer += 1
-
-        def finish() -> None:
-            for page in to_claim:
-                entry = directory[page]
-                entry.invalidate_all()
-                entry.states[dst] = PageState.MODIFIED
-
-        return self._finish_migration(n_pages, to_transfer, finish)
-
-    def _migrate_range(self, dst: str, start: int, end: int) -> Event:
-        """Span-batched migration of the contiguous range [start, end)."""
-        page_size = self.page_size
-        n_pages = (end - start) // page_size
-        directory = self.directory
-
-        # Pages already M at dst and untouched gap pages put nothing on
-        # the wire; every other page with a holder does.
+        # Pages already M at dst and untouched pages put nothing on the
+        # wire; every other page with a holder does.
         n_transfer = 0
-        for page in self._directory_pages_in(start, end):
-            entry = directory[page]
-            if entry.states.get(dst) != PageState.MODIFIED and entry.has_holder():
-                n_transfer += 1
-        for span in self._spans_in(start, end):
-            if span.states.get(dst) != PageState.MODIFIED and span.has_holder():
-                n_transfer += span.npages(page_size)
+        lo, hi = self._covering(start, end)
+        for span in self._spans[lo:hi]:
+            if span.states.get(dst) != PageState.MODIFIED and span.holders():
+                n_transfer += (span.end - span.start) // PAGE_SIZE
 
-        def finish() -> None:
-            # The whole range ends uniformly M-at-dst (pages skipped
-            # above were already M at dst), so it coalesces into one
-            # span — the next migration of this working set is O(1).
-            self._replace_range(start, end, {dst: PageState.MODIFIED})
-
-        return self._finish_migration(n_pages, n_transfer, finish)
-
-    def _finish_migration(self, n_pages: int, n_transfer: int, apply_states) -> Event:
-        """Shared tail of both migration paths: one wire transfer for
-        all payload pages, then the directory update."""
         done = self.sim.event()
 
         def finish(trigger) -> None:
-            apply_states()
-            trigger(n_pages)
+            # The whole run ends M at dst (the pages skipped above
+            # already were), so it coalesces into one span: the next
+            # migration of this working set is O(1).
+            self._replace(start, end, {dst: PageState.MODIFIED})
+            trigger(len(pages))
 
         if n_transfer:
-            nbytes = n_transfer * self.page_size
+            nbytes = n_transfer * PAGE_SIZE
             self.stats.page_transfers += n_transfer
             self.stats.bytes_transferred += nbytes
             transfer = self.link.transfer(nbytes)

@@ -9,7 +9,7 @@ the thread's dirty working set through the DSM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.hardware.platform import HeterogeneousPlatform
@@ -35,8 +35,9 @@ class PopcornThread:
     binary: MultiISABinary
     state: MachineState
     node: Target = Target.X86
-    #: Addresses of pages this thread has dirtied since the last migration.
-    dirty_addresses: list[int] = field(default_factory=list)
+    #: The pages this thread has dirtied since the last migration: one
+    #: run (a ``range`` with step ``PAGE_SIZE``), empty when clean.
+    dirty_pages: range = range(0)
     migration_count: int = 0
 
     @property
@@ -160,13 +161,13 @@ class PopcornRuntime:
             done.succeed_in_place(thread)
 
         def after_pages(_ev: Event) -> None:
-            thread.dirty_addresses.clear()
+            thread.dirty_pages = range(0)
             commit()
 
         def after_wire(_ev: Event) -> None:
-            if self.dsm is not None and thread.dirty_addresses:
+            if self.dsm is not None and thread.dirty_pages:
                 self.dsm.migrate_pages(
-                    str(source_node), str(dest_node), thread.dirty_addresses
+                    str(source_node), str(dest_node), thread.dirty_pages
                 ).callbacks.append(after_pages)
             else:
                 commit()

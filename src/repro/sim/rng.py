@@ -9,8 +9,10 @@ pitfall).
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["RandomStreams"]
 
@@ -25,6 +27,10 @@ class RandomStreams:
     def stream(self, name: str) -> np.random.Generator:
         """The generator for ``name``, created on first use."""
         if name not in self._streams:
+            # numpy loads with the first stream, not with repro.sim: the
+            # CLI's parser imports the package and draws nothing.
+            import numpy as np
+
             digest = hashlib.sha256(f"{self.seed}/{name}".encode()).digest()
             child_seed = int.from_bytes(digest[:8], "little")
             self._streams[name] = np.random.default_rng(child_seed)

@@ -165,12 +165,23 @@ class TrafficSpec:
 
     @property
     def peak_rate_per_s(self) -> float:
-        """An upper bound on ``rate_at`` (the thinning envelope)."""
-        peak = self.base_rate_per_s * (1.0 + self.diurnal_amplitude)
-        factor = 1.0
-        for spike in self.spikes:
-            factor = max(factor, spike.factor)
-        return peak * factor
+        """An upper bound on ``rate_at`` (the thinning envelope): the
+        diurnal crest times the largest product of the spike factors
+        active at one instant, or 1 if that is larger.
+
+        The active set changes only where a spike starts or ends, so
+        those instants are the candidates. Each product is taken in
+        ``rate_at``'s order, so the bound holds to the last bit.
+        """
+        crest = self.base_rate_per_s * (1.0 + self.diurnal_amplitude)
+        peak = crest
+        for t in {edge for s in self.spikes for edge in (s.at_s, s.end_s)}:
+            rate = crest
+            for spike in self.spikes:
+                if spike.active(t):
+                    rate *= spike.factor
+            peak = max(peak, rate)
+        return peak
 
 
 @dataclass(frozen=True)

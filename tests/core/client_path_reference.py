@@ -246,11 +246,9 @@ class GeneratorRun(ApplicationRun):
         """Software migration: Popcorn there, run the function, Popcorn back."""
         popcorn = self.runtime.popcorn_for(self.app.name)
         thread = self._ensure_thread(popcorn)
-        self._mark_working_set(thread)
         yield popcorn.migrate(thread, Target.ARM)
         self.record.migrations += 1
         yield self.runtime.platform.arm.cpu.execute(self.profile.func_arm_s)
-        self._mark_working_set(thread)  # results dirtied on the ARM side
         yield popcorn.migrate(thread, Target.X86)
         self.record.migrations += 1
         self.record.targets.append(Target.ARM)

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import ETHERNET_1GBPS, Link
-from repro.popcorn import DSM, DSMError, PageState
+from repro.popcorn import DSM, DSMError, PAGE_SIZE, PageState
 from repro.sim import Simulator
 
 
-def make_dsm(nodes=("x86", "arm"), page_size=4096):
+def make_dsm(nodes=("x86", "arm")):
     sim = Simulator()
-    dsm = DSM(sim, Link(sim, ETHERNET_1GBPS), page_size=page_size)
+    dsm = DSM(sim, Link(sim, ETHERNET_1GBPS))
     for node in nodes:
         dsm.add_node(node)
     return sim, dsm
@@ -23,10 +23,20 @@ class TestBasics:
         assert dsm.page_of(0x1234) == 0x1000
         assert dsm.page_of(0x1000) == 0x1000
 
-    def test_page_size_must_be_power_of_two(self):
-        sim = Simulator()
-        with pytest.raises(DSMError):
-            DSM(sim, Link(sim, ETHERNET_1GBPS), page_size=3000)
+    @pytest.mark.parametrize(
+        "pages",
+        [
+            [0x1000, 0x2000],  # a list, not a run
+            range(0x1000, 0x3000, 2 * PAGE_SIZE),  # not one page per step
+            range(0x1008, 0x3008, PAGE_SIZE),  # not page-aligned
+        ],
+    )
+    def test_a_working_set_must_be_a_page_range(self, pages):
+        _sim, dsm = make_dsm()
+        with pytest.raises(DSMError, match="range of page addresses"):
+            dsm.seed_pages("x86", pages)
+        with pytest.raises(DSMError, match="range of page addresses"):
+            dsm.migrate_pages("x86", "arm", pages)
 
     def test_unknown_node_rejected(self):
         sim, dsm = make_dsm()
@@ -97,14 +107,14 @@ class TestProtocol:
 
     def test_seed_pages_claims_without_traffic(self):
         sim, dsm = make_dsm()
-        dsm.seed_pages("x86", [0x1000, 0x2000, 0x2008])
+        dsm.seed_pages("x86", range(0x1000, 0x3000, PAGE_SIZE))
         assert dsm.page_state("x86", 0x1000) == PageState.MODIFIED
         assert dsm.page_state("x86", 0x2000) == PageState.MODIFIED
         assert dsm.stats.bytes_transferred == 0
 
     def test_migrate_pages_batches_one_transfer(self):
         sim, dsm = make_dsm()
-        addrs = [0x100000 + i * 4096 for i in range(10)]
+        addrs = range(0x100000, 0x100000 + 10 * PAGE_SIZE, PAGE_SIZE)
         dsm.seed_pages("x86", addrs)
         start = sim.now
         sim.run_until_event(dsm.migrate_pages("x86", "arm", addrs))
@@ -120,7 +130,9 @@ class TestProtocol:
 
     def test_migrate_untouched_pages_is_free(self):
         sim, dsm = make_dsm()
-        sim.run_until_event(dsm.migrate_pages("x86", "arm", [0x5000]))
+        sim.run_until_event(
+            dsm.migrate_pages("x86", "arm", range(0x5000, 0x6000, PAGE_SIZE))
+        )
         assert dsm.stats.page_transfers == 0
         assert dsm.page_state("arm", 0x5000) == PageState.MODIFIED
 
@@ -147,13 +159,14 @@ class TestInvariants:
             event = dsm.read(node, addr) if op == "read" else dsm.write(node, addr)
             sim.run_until_event(event)
             # Invariant check after every operation.
-            for entry_page, entry in dsm.directory.items():
-                states = list(entry.states.values())
+            for index in range(9):
+                page = 0x10000 + index * 4096
+                states = [dsm.page_state(n, page) for n in ("x86", "arm", "nic")]
                 modified = states.count(PageState.MODIFIED)
                 shared = states.count(PageState.SHARED)
-                assert modified <= 1, f"page {entry_page:#x} has {modified} writers"
+                assert modified <= 1, f"page {page:#x} has {modified} writers"
                 if modified:
-                    assert shared == 0, f"page {entry_page:#x} mixes M and S"
+                    assert shared == 0, f"page {page:#x} mixes M and S"
 
     @given(
         ops=st.lists(
@@ -179,19 +192,3 @@ class TestInvariants:
             else:
                 assert state in (PageState.SHARED, PageState.MODIFIED)
 
-
-def test_deployments_of_one_compilation_share_their_page_runs():
-    # The expected working-set page list is a pure function of the
-    # compilation, so every deployment's DSM reads the one its
-    # CompilationResult keeps instead of building its own.
-    from repro.core import SystemMode, build_system
-
-    runtimes = [build_system(["digit.500"], seed=seed) for seed in (0, 1)]
-    for runtime in runtimes:
-        runtime.launch_background(40)
-        record = runtime.platform.sim.run_until_event(
-            runtime.launch("digit.500", seed=1, mode=SystemMode.XAR_TREK, calls=3)
-        )
-        assert record.migrations > 0
-    runs = runtimes[0].result.page_runs
-    assert runs and all(runtime.dsm._run_cache is runs for runtime in runtimes)

@@ -12,6 +12,7 @@ from repro.popcorn import (
     MigrationError,
     MigrationPoint,
     MultiISABinary,
+    PAGE_SIZE,
     PopcornRuntime,
     StateTransformer,
     allocate_locations,
@@ -114,12 +115,12 @@ class TestMigrate:
     def test_dirty_pages_move_through_dsm(self):
         platform, runtime, binary, state = make_runtime(with_dsm=True)
         thread = runtime.spawn_thread(binary, state)
-        addrs = [0x9000 + i * 4096 for i in range(8)]
-        runtime.dsm.seed_pages("x86", addrs)
-        thread.dirty_addresses = list(addrs)
+        pages = range(0x9000, 0x9000 + 8 * PAGE_SIZE, PAGE_SIZE)
+        runtime.dsm.seed_pages("x86", pages)
+        thread.dirty_pages = pages
         platform.sim.run_until_event(runtime.migrate(thread, Target.ARM))
         assert runtime.dsm.stats.page_transfers == 8
-        assert thread.dirty_addresses == []  # consumed by the migration
+        assert not thread.dirty_pages  # consumed by the migration
 
     def test_migration_cost_estimate_is_lower_bound(self):
         platform, runtime, binary, state = make_runtime()

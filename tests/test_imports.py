@@ -102,7 +102,7 @@ def test_the_cli_parser_loads_no_run_time():
         "print(json.dumps(sorted(sys.modules)))\n"
     ))
     run_time = ("repro.compiler", "repro.core", "repro.popcorn", "repro.xrt",
-                "repro.faults", "repro.fleet")
+                "repro.faults", "repro.fleet", "numpy")
     assert sorted(
         name for name in loaded
         if any(name == pkg or name.startswith(pkg + ".") for pkg in run_time)

@@ -3,6 +3,8 @@ trips, and the cohort plug-in that replays a trace through the
 existing arrival machinery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traffic import (
     SpikeWindow,
@@ -113,6 +115,54 @@ class TestGeneration:
     def test_no_deadline_spec_leaves_entries_undeadlined(self):
         trace = generate_trace(_spec(deadline_s=None))
         assert all(e.deadline_s is None for e in trace)
+
+
+class TestOverlappingSpikes:
+    def test_overlapping_spikes_are_sampled_at_their_product(self):
+        spec = TrafficSpec(
+            apps=("digit.500",),
+            base_rate_per_s=10.0,
+            horizon_s=100.0,
+            spikes=(
+                SpikeWindow(at_s=0.0, duration_s=100.0, factor=2.0),
+                SpikeWindow(at_s=0.0, duration_s=100.0, factor=3.0),
+            ),
+            seed=1,
+        )
+        assert spec.rate_at(50.0) == 60.0
+        assert spec.peak_rate_per_s == 60.0
+        # 6,000 arrivals expected: a Poisson count's sd is about 1.3 %.
+        assert 57.0 < len(generate_trace(spec)) / spec.horizon_s < 63.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spikes=st.lists(
+            st.builds(
+                SpikeWindow,
+                at_s=st.floats(min_value=0.0, max_value=99.0),
+                duration_s=st.floats(min_value=0.1, max_value=60.0),
+                factor=st.floats(min_value=0.1, max_value=10.0),
+            ),
+            max_size=5,
+        ),
+        amplitude=st.floats(min_value=0.0, max_value=0.9),
+        t=st.floats(min_value=0.0, max_value=100.0, exclude_max=True),
+    )
+    def test_the_envelope_bounds_the_rate(self, spikes, amplitude, t):
+        spec = TrafficSpec(
+            apps=("digit.500",),
+            base_rate_per_s=10.0,
+            horizon_s=100.0,
+            diurnal_period_s=40.0,
+            diurnal_amplitude=amplitude,
+            spikes=tuple(spikes),
+        )
+        peak = spec.peak_rate_per_s
+        # The active set changes only at spike edges: probe each one.
+        edges = [edge for s in spikes for edge in (s.at_s, s.end_s)]
+        for at in (t, *edges):
+            if at < spec.horizon_s:
+                assert spec.rate_at(at) <= peak
 
 
 class TestTraceValue:
