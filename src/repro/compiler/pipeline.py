@@ -21,7 +21,7 @@ from repro.compiler.threshold_estimation import estimate_thresholds
 from repro.compiler.xclbin import XCLBIN, generate_xclbin
 from repro.compiler.xo import XilinxObject, generate_xo
 from repro.hardware.fpga import ALVEO_U50, FPGASpec
-from repro.popcorn.state import MachineState
+from repro.popcorn.state import MachineState, TransformMemo
 from repro.thresholds import ThresholdTable
 from repro.workloads.perfmodel import WorkloadProfile, profile_for
 
@@ -49,10 +49,12 @@ class CompilationResult:
     """The deployable bundle: binaries, images, and the threshold table.
 
     ``initial_states`` holds each application's prototype initial
-    machine state: run-time state, but a pure function of the frozen
-    artifacts above. The first deployment that needs an entry fills it;
-    every deployment of this result (``build_system`` caches results
-    per application set) shares it.
+    machine state, and ``transforms`` each application's memoized state
+    transformer (:meth:`transforms_for`): run-time state, but a pure
+    function of the frozen artifacts above. The first deployment that
+    needs an entry fills it; every deployment of this result
+    (``build_system`` caches results per application set) shares it,
+    so an application's states are transformed once per compilation.
     """
 
     applications: dict[str, CompiledApplication]
@@ -62,12 +64,23 @@ class CompilationResult:
     initial_states: dict[str, MachineState] = field(
         default_factory=dict, repr=False, compare=False
     )
+    transforms: dict[str, TransformMemo] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def application(self, name: str) -> CompiledApplication:
         try:
             return self.applications[name]
         except KeyError:
             raise KeyError(f"application {name!r} was not compiled") from None
+
+    def transforms_for(self, name: str) -> TransformMemo:
+        """The application's memoized state transformer (made on first use)."""
+        memo = self.transforms.get(name)
+        if memo is None:
+            metadata = self.application(name).compiled.metadata
+            memo = self.transforms[name] = TransformMemo(metadata)
+        return memo
 
     def xclbin_for(self, kernel_name: str) -> XCLBIN:
         """The image that hosts a hardware kernel."""

@@ -31,7 +31,7 @@ from repro.core.server import RequestShed, SchedulerUnavailable
 from repro.popcorn.dsm import PAGE_SIZE
 from repro.popcorn.migration_points import CType
 from repro.popcorn.runtime import PopcornRuntime, PopcornThread
-from repro.popcorn.state import MachineState, StateTransformer
+from repro.popcorn.state import MachineState
 from repro.sim import Event, SimulationError
 from repro.types import Target
 from repro.xrt import XRTError
@@ -146,19 +146,17 @@ class ApplicationRun:
         #: The first launch on a runtime registers the families; the
         #: registry get-or-create is then paid once per runtime, not per
         #: launch (scale_stress starts 1000 runs on one runtime).
-        if runtime._run_instruments is None:
+        if runtime._latency_family is None:
             metrics = runtime.metrics
-            runtime._run_instruments = (
-                metrics.histogram(
-                    "invocation_latency_seconds",
-                    "end-to-end per-invocation latency by serving target",
-                    labelnames=("target",),
-                ),
-                metrics.counter(
-                    "invocations_total",
-                    "function invocations by application and serving target",
-                    labelnames=("app", "target"),
-                ),
+            runtime._latency_family = metrics.histogram(
+                "invocation_latency_seconds",
+                "end-to-end per-invocation latency by serving target",
+                labelnames=("target",),
+            )
+            runtime._invocations_family = metrics.counter(
+                "invocations_total",
+                "function invocations by application and serving target",
+                labelnames=("app", "target"),
             )
 
     # -- public API ------------------------------------------------------------
@@ -195,20 +193,12 @@ class ApplicationRun:
         self.record.verified = workload.verify(inp, output)
 
     def _observe_call(self, target: Target, started_at: float) -> None:
-        # Label children memoized per runtime by (app, target):
-        # resolving labels() is a dict build + lookup, paid per call on
-        # the hot path otherwise.
         runtime = self.runtime
-        key = (self.app.name, target)
-        children = runtime._call_instruments.get(key)
-        if children is None:
-            latency, invocations = runtime._run_instruments
-            children = runtime._call_instruments[key] = (
-                latency.labels(target=str(target)),
-                invocations.labels(app=self.app.name, target=str(target)),
-            )
-        children[0].observe(runtime.platform.now - started_at)
-        children[1].inc()
+        label = target.label
+        runtime._latency_family.child(label).observe(
+            runtime.platform.now - started_at
+        )
+        runtime._invocations_family.child(self.app.name, label).inc()
 
     def _deadline_passed(self) -> bool:
         if self.deadline_s is None:
@@ -240,13 +230,14 @@ class ApplicationRun:
         # migration path — so every run of the same app, on every
         # deployment of the same compilation, can share one prototype
         # object instead of rebuilding identical frames per client.
-        # Sharing also makes the first migration of each thread a
-        # transform-memo hit (see PopcornRuntime.migrate).
-        cache = self.runtime.result.initial_states
+        # Sharing also makes every migration after the compilation's
+        # first a transform-memo hit (see TransformMemo).
+        result = self.runtime.result
+        cache = result.initial_states
         state = cache.get(self.app.name)
         if state is None:
             metadata = self.app.compiled.metadata
-            transformer = StateTransformer(metadata)
+            transformer = result.transforms_for(self.app.name).transformer
             function = self.app.instrumented.selected_functions[0]
             frames = []
             for fn in ("main", function):
@@ -271,7 +262,7 @@ class ApplicationRun:
             payload = self.profile.migration_state_bytes - state.size_bytes()
             end = _WORKING_SET_BASE + max(0, payload) // PAGE_SIZE * PAGE_SIZE
             pages = range(_WORKING_SET_BASE, end, PAGE_SIZE)
-            popcorn.dsm.seed_pages(str(Target.X86), pages)
+            popcorn.dsm.seed_pages(Target.X86.label, pages)
             thread.dirty_pages = pages
         return thread
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.metrics import MetricsRegistry
+from repro.metrics import Counter, FamilySpec, MetricsRegistry, family_table
 from repro.thresholds import ThresholdEntry
 from repro.types import Target
 
@@ -34,6 +34,12 @@ class UpdateOutcome:
     RECORDED = "recorded"
 
 
+_OUTCOMES = FamilySpec(
+    Counter, "threshold_updates_total", "Algorithm 1 passes by outcome", ("outcome",)
+)
+_FAMILIES = family_table(_OUTCOMES)
+
+
 class ThresholdUpdater:
     """Executes Algorithm 1 against a shared threshold table entry."""
 
@@ -45,16 +51,9 @@ class ThresholdUpdater:
         if increase_step <= 0:
             raise ValueError(f"increase_step must be positive, got {increase_step}")
         self.increase_step = increase_step
-        self._outcomes = None
-        #: outcome -> bound counter child; one Algorithm 1 pass runs per
-        #: completed call, so the label lookup is memoized.
-        self._outcome_children: dict[str, object] = {}
+        self._metrics = metrics
         if metrics is not None:
-            self._outcomes = metrics.counter(
-                "threshold_updates_total",
-                "Algorithm 1 passes by outcome",
-                labelnames=("outcome",),
-            )
+            metrics.declare(_FAMILIES)
 
     def update(
         self,
@@ -100,11 +99,6 @@ class ThresholdUpdater:
         # Lines 1-2: the record itself (kept last so the comparisons
         # above used the *previous* observation, as in the paper).
         entry.record(target, exec_seconds)
-        if self._outcomes is not None:
-            child = self._outcome_children.get(outcome)
-            if child is None:
-                child = self._outcome_children[outcome] = self._outcomes.labels(
-                    outcome=outcome
-                )
-            child.inc()
+        if self._metrics is not None:
+            self._metrics.family(_OUTCOMES).child(outcome).inc()
         return outcome

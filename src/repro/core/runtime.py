@@ -102,21 +102,22 @@ class BackgroundLoad:
             # whole pool is one self-resubmitting job with n_processes
             # copies, one submit and one callback per round instead of
             # one per worker.
-            x86 = self._x86
-            work_s = self.work_s
-
-            def spin_round(job=None) -> None:
-                if job is not None:
-                    self.completed_rounds += job.copies
-                if self._stopped:
-                    return
-                x86.execute_job(work_s, on_complete=spin_round, copies=n_processes)
-
             if n_processes:
-                spin_round()
+                self._spin_round()
             return
         for index in range(n_processes):
             self._start_worker(index)
+
+    def _spin_round(self, job=None) -> None:
+        """One round of the pure-spin pool (``duty`` 1): count the
+        finished round, then resubmit unless stopped."""
+        if job is not None:
+            self.completed_rounds += job.copies
+        if self._stopped:
+            return
+        self._x86.execute_job(
+            self.work_s, on_complete=self._spin_round, copies=self.n_processes
+        )
 
     def _start_worker(self, index: int) -> None:
         """One duty-cycled worker: rounds of ``work_s`` in bursts of
@@ -185,9 +186,8 @@ class XarTrekRuntime:
         self.early_configure = early_configure
         self.platform = platform or paper_testbed()
         self.metrics = self.platform.metrics
-        sim = self.platform.sim
         self.resilience = ResiliencePolicy(
-            clock=lambda: sim.now,
+            clock=self.platform.clock,
             metrics=self.metrics,
             config=resilience,
         )
@@ -198,21 +198,15 @@ class XarTrekRuntime:
             metrics=self.metrics,
             host_cpu=self.platform.x86.cpu,
         )
-        self.dsm: Optional[DSM] = None
-        if use_dsm:
-            self.dsm = DSM(self.platform.sim, self.platform.ethernet)
-            self.dsm.add_node(str(Target.X86))
-            self.dsm.add_node(str(Target.ARM))
+        self._use_dsm = use_dsm
+        self._dsm: Optional[DSM] = None
         self._popcorn: dict[str, PopcornRuntime] = {}
         #: Launch-path caches (see ApplicationRun): profile variants by
-        #: (app, calls-per-run); the per-call metric families, which
-        #: the first launch registers; their label children by (app,
-        #: target).
+        #: (app, calls-per-run), and the per-call metric families, which
+        #: the first launch registers.
         self._calls_profile_cache: dict[tuple[str, int], WorkloadProfile] = {}
-        self._run_instruments: Optional[tuple[Histogram, Counter]] = None
-        self._call_instruments: dict[
-            tuple[str, Target], tuple[Histogram, Counter]
-        ] = {}
+        self._latency_family: Optional[Histogram] = None
+        self._invocations_family: Optional[Counter] = None
         self.updater = (
             ThresholdUpdater(
                 increase_step=threshold_increase_step, metrics=self.metrics
@@ -236,16 +230,29 @@ class XarTrekRuntime:
         self.records: list[RunRecord] = []
 
     # -- lookups ------------------------------------------------------------
+    @property
+    def dsm(self) -> Optional[DSM]:
+        """The x86/ARM DSM over the Ethernet link (``None`` without
+        ``use_dsm``), made when first asked for: only a run that
+        migrates to ARM moves pages, and one that never does exports
+        the same untouched DSM either way."""
+        dsm = self._dsm
+        if dsm is None and self._use_dsm:
+            dsm = self._dsm = DSM(self.platform.sim, self.platform.ethernet)
+            dsm.add_node(Target.X86.label)
+            dsm.add_node(Target.ARM.label)
+        return dsm
+
     def image_for(self, kernel_name: str):
         return self.result.xclbin_for(kernel_name)
 
     def popcorn_for(self, app_name: str) -> PopcornRuntime:
-        if app_name not in self._popcorn:
-            app = self.result.application(app_name)
-            self._popcorn[app_name] = PopcornRuntime(
-                self.platform, app.compiled.metadata, dsm=self.dsm
+        popcorn = self._popcorn.get(app_name)
+        if popcorn is None:
+            popcorn = self._popcorn[app_name] = PopcornRuntime(
+                self.platform, self.result.transforms_for(app_name), dsm=self.dsm
             )
-        return self._popcorn[app_name]
+        return popcorn
 
     def preload_fpga(self, kernel_name: Optional[str] = None) -> Event:
         """Load an XCLBIN up front (for measurements that exclude setup).

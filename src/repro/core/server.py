@@ -21,11 +21,11 @@ appends each decision and each FPGA load it starts to
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.policy import Decision, decide
 from repro.hardware.platform import HeterogeneousPlatform
-from repro.metrics import MetricsRegistry
+from repro.metrics import Counter, FamilySpec, Histogram, MetricsRegistry, family_table
 from repro.sim import Event, TimelineEvent
 from repro.thresholds import ThresholdTable
 from repro.types import Target
@@ -66,6 +66,54 @@ class RequestShed(RuntimeError):
         self.reason = reason
 
 
+_REQUESTS = FamilySpec(Counter, "scheduler_requests_total", "scheduling requests served")
+_DECISIONS = FamilySpec(
+    Counter,
+    "scheduler_decisions_total",
+    "scheduling decisions by chosen target",
+    ("target",),
+)
+_RULES = FamilySpec(
+    Counter,
+    "scheduler_decisions_by_rule_total",
+    "scheduling decisions by Algorithm 2 rule",
+    ("rule",),
+)
+_RECONF_STARTED = FamilySpec(
+    Counter,
+    "fpga_reconfigurations_started_total",
+    "background reconfigurations kicked off by the scheduler",
+)
+_RECONF_SKIPPED = FamilySpec(
+    Counter,
+    "fpga_reconfigurations_skipped_total",
+    "reconfigurations skipped (in flight, or kernels running)",
+)
+_RECONF_FAILED = FamilySpec(
+    Counter,
+    "fpga_reconfigurations_failed_total",
+    "reconfigurations that failed to program the card",
+)
+_ROUNDTRIP = FamilySpec(
+    Histogram,
+    "scheduler_roundtrip_seconds",
+    "client-observed request->reply latency (socket + queueing + decide)",
+)
+#: The scheduler's families, declared with its stats (and the
+#: round-trip histogram with the server) and made on first use: a run
+#: that never asks the scheduler (the baseline systems) exports them at
+#: zero without building them.
+_STATS_FAMILIES = family_table(
+    _REQUESTS,
+    _DECISIONS,
+    _RULES,
+    _RECONF_STARTED,
+    _RECONF_SKIPPED,
+    _RECONF_FAILED,
+)
+_SERVER_FAMILIES = family_table(_ROUNDTRIP)
+
+
 class ServerStats:
     """Decision counters, by target and by Algorithm 2 rule.
 
@@ -81,50 +129,24 @@ class ServerStats:
                 "detached registry would silently drop the scheduler's "
                 "counters from every metrics export"
             )
-        self._requests = metrics.counter(
-            "scheduler_requests_total", "scheduling requests served"
-        )
-        self._decisions = metrics.counter(
-            "scheduler_decisions_total",
-            "scheduling decisions by chosen target",
-            labelnames=("target",),
-        )
-        self._rules = metrics.counter(
-            "scheduler_decisions_by_rule_total",
-            "scheduling decisions by Algorithm 2 rule",
-            labelnames=("rule",),
-        )
-        self._reconf_started = metrics.counter(
-            "fpga_reconfigurations_started_total",
-            "background reconfigurations kicked off by the scheduler",
-        )
-        self._reconf_skipped = metrics.counter(
-            "fpga_reconfigurations_skipped_total",
-            "reconfigurations skipped (in flight, or kernels running)",
-        )
-        self._reconf_failed = metrics.counter(
-            "fpga_reconfigurations_failed_total",
-            "reconfigurations that failed to program the card",
-        )
-        # Per-decision fast path: resolve each label child once (lazily,
-        # so the exported series set is unchanged) instead of going
-        # through the labels() validation on every request.
-        self._decision_children: dict[Any, Any] = {}
-        self._rule_children: dict[str, Any] = {}
+        metrics.declare(_STATS_FAMILIES)
+        self._metrics = metrics
+        # The per-decision families, made by the first decision.
+        self._requests = self._decisions = self._rules = None
+
+    def _decision_families(self) -> None:
+        metrics = self._metrics
+        self._requests = metrics.family(_REQUESTS)
+        self._decisions = metrics.family(_DECISIONS)
+        self._rules = metrics.family(_RULES)
 
     def _count_decision(self, decision) -> None:
-        """O(1) per-request accounting (no per-request label resolution)."""
+        """O(1) per-request accounting."""
+        if self._requests is None:
+            self._decision_families()
         self._requests.inc()
-        target_child = self._decision_children.get(decision.target)
-        if target_child is None:
-            target_child = self._decisions.labels(target=str(decision.target))
-            self._decision_children[decision.target] = target_child
-        target_child.inc()
-        rule_child = self._rule_children.get(decision.rule)
-        if rule_child is None:
-            rule_child = self._rules.labels(rule=decision.rule)
-            self._rule_children[decision.rule] = rule_child
-        rule_child.inc()
+        self._decisions.child(decision.target.label).inc()
+        self._rules.child(decision.rule).inc()
 
     def record_decisions(self, by_target: dict, by_rule: dict) -> None:
         """Bulk accounting for pre-aggregated decision batches.
@@ -136,55 +158,50 @@ class ServerStats:
         one request at a time. Zero counts are skipped so no label
         child exists that a per-client run would not have created.
         """
+        if self._requests is None:
+            self._decision_families()
         total = 0
         for target in sorted(by_target):
             count = int(by_target[target])
             if not count:
                 continue
-            child = self._decision_children.get(target)
-            if child is None:
-                child = self._decisions.labels(target=str(target))
-                self._decision_children[target] = child
-            child.inc(count)
+            self._decisions.child(str(target)).inc(count)
             total += count
         for rule in sorted(by_rule):
             count = int(by_rule[rule])
             if not count:
                 continue
-            child = self._rule_children.get(rule)
-            if child is None:
-                child = self._rules.labels(rule=rule)
-                self._rule_children[rule] = child
-            child.inc(count)
+            self._rules.child(rule).inc(count)
         self._requests.inc(total)
 
     # -- thin views over the counters ------------------------------------
     @property
     def requests(self) -> int:
-        return int(self._requests.value)
+        return int(self._metrics.family(_REQUESTS).value)
 
     @property
     def by_target(self) -> dict[Target, int]:
         return {
             _TARGET_BY_NAME[key[0]]: int(count)
-            for key, count in self._decisions.as_dict().items()
+            for key, count in self._metrics.family(_DECISIONS).as_dict().items()
         }
 
     @property
     def by_rule(self) -> dict[str, int]:
-        return {key[0]: int(count) for key, count in self._rules.as_dict().items()}
+        rules = self._metrics.family(_RULES)
+        return {key[0]: int(count) for key, count in rules.as_dict().items()}
 
     @property
     def reconfigurations_started(self) -> int:
-        return int(self._reconf_started.value)
+        return int(self._metrics.family(_RECONF_STARTED).value)
 
     @property
     def reconfigurations_skipped(self) -> int:
-        return int(self._reconf_skipped.value)
+        return int(self._metrics.family(_RECONF_SKIPPED).value)
 
     @property
     def reconfigurations_failed(self) -> int:
-        return int(self._reconf_failed.value)
+        return int(self._metrics.family(_RECONF_FAILED).value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -225,10 +242,7 @@ class SchedulerServer:
         self.metrics = platform.metrics
         self.resilience = resilience
         self.stats = ServerStats(self.metrics)
-        self._roundtrip = self.metrics.histogram(
-            "scheduler_roundtrip_seconds",
-            "client-observed request->reply latency (socket + queueing + decide)",
-        )
+        self.metrics.declare(_SERVER_FAMILIES)
         #: Requests made after start() but before the daemon came online
         #: (see :meth:`_online`), in arrival order.
         self._pending: deque[tuple[str, Event]] = deque()
@@ -377,7 +391,7 @@ class SchedulerServer:
             if guard is not None:
                 guard.dequeued()
             if ev.ok:
-                self._roundtrip.observe(sim.now - enqueued_at)
+                self.metrics.family(_ROUNDTRIP).observe(sim.now - enqueued_at)
 
         reply.callbacks.append(observe)
         if self._accepting:
@@ -465,12 +479,12 @@ class SchedulerServer:
         if not self.resilience.allow_device():
             # The card itself is quarantined (crashed / repeatedly
             # failed to program): don't burn a reconfiguration slot.
-            self.stats._reconf_skipped.inc()
+            self.metrics.family(_RECONF_SKIPPED).inc()
             return
         if self.xrt.reconfiguring or self.xrt.active_runs:
-            self.stats._reconf_skipped.inc()
+            self.metrics.family(_RECONF_SKIPPED).inc()
             return
-        self.stats._reconf_started.inc()
+        self.metrics.family(_RECONF_STARTED).inc()
         if self._timeline is not None:
             self._timeline.append(
                 TimelineEvent(
@@ -485,7 +499,7 @@ class SchedulerServer:
 
         def on_outcome(event) -> None:
             if not event.ok:
-                self.stats._reconf_failed.inc()
+                self.metrics.family(_RECONF_FAILED).inc()
                 self.resilience.record_device_failure()
                 self._schedule_reconfig_retry(kernel_name)
             else:

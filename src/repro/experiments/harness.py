@@ -49,16 +49,23 @@ class SetOutcome:
     records: list[RunRecord] = field(default_factory=list)
     #: The deployment's full metrics snapshot at measurement end
     #: (:meth:`repro.metrics.MetricsRegistry.snapshot`), so percentile
-    #: tables and regression diffs don't need the live runtime.
+    #: tables and regression diffs don't need the live runtime. Only the
+    #: callers that read it take it: :func:`repro.experiments.sweep.run_cell`
+    #: (cached and checksummed cell results) and
+    #: :func:`repro.experiments.observability.metrics_experiment`;
+    #: :func:`run_application_set` leaves it ``None``.
     metrics: Optional[dict] = None
 
     @property
     def average_s(self) -> float:
-        return float(np.mean([rec.elapsed_s for rec in self.records]))
+        # np.mean's own arithmetic (one pairwise np.add.reduce, then a
+        # division by the count) without its Python-level wrapper.
+        values = [rec.elapsed_s for rec in self.records]
+        return float(np.add.reduce(values) / len(values))
 
     @property
     def max_s(self) -> float:
-        return float(np.max([rec.elapsed_s for rec in self.records]))
+        return max(rec.elapsed_s for rec in self.records)
 
     def target_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -100,8 +107,12 @@ def run_application_set(
     the platform RNG seed it was built with) is used as-is — only the
     per-launch seeds still derive from ``seed``. The runtime must have
     been compiled with every application in ``apps``; a partial
-    deployment raises ``ValueError`` instead of failing mid-launch.
+    deployment raises ``ValueError`` instead of failing mid-launch. So
+    does an empty ``apps``, before anything is built: a set with no
+    applications has no average.
     """
+    if not apps:
+        raise ValueError("an application set needs at least one application")
     if runtime is None:
         runtime = build_system(sorted(set(apps)), seed=seed)
     else:
@@ -122,12 +133,7 @@ def run_application_set(
     records = runtime.wait_all(events)
     if load is not None:
         load.stop()
-    return SetOutcome(
-        mode=mode,
-        apps=tuple(apps),
-        records=records,
-        metrics=runtime.metrics.snapshot(),
-    )
+    return SetOutcome(mode=mode, apps=tuple(apps), records=records)
 
 
 def average_execution_time(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core import SystemMode
+from repro.core import SystemMode, build_system
 from repro.experiments.harness import run_application_set, sample_application_set
 from repro.experiments.report import ExperimentResult, metrics_section
 from repro.metrics import to_csv, to_json
@@ -64,7 +64,11 @@ def metrics_experiment(
     name: Optional[str] = None,
 ) -> MetricsRun:
     """Run ``apps`` concurrently and keep the full metrics snapshot."""
-    outcome = run_application_set(apps, mode, background=background, seed=seed)
+    runtime = build_system(sorted(set(apps)), seed=seed)
+    outcome = run_application_set(
+        apps, mode, background=background, seed=seed, runtime=runtime
+    )
+    outcome.metrics = runtime.metrics.snapshot()
     label = name or (
         f"Metrics: {len(apps)} apps + {background} background ({mode.value})"
     )

@@ -107,6 +107,14 @@ def derive_seeds(root: int | np.random.SeedSequence, n: int) -> list[int]:
     return _spawn_seeds(root, n)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on
+# 32-bit words.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
 @functools.lru_cache(maxsize=4)
 def _int_root_seeds(root: int, n: int) -> tuple[int, ...]:
     """:func:`derive_seeds` for an int root, memoized.
@@ -116,8 +124,65 @@ def _int_root_seeds(root: int, n: int) -> tuple[int, ...]:
     (:func:`cells_for_sets`), so one slot per mode is enough. The cache
     stays that small on purpose: a later pass over the same cells finds
     it cold again and costs what the first pass did.
+
+    The values are ``SeedSequence(root).spawn(n)``'s children's
+    ``generate_state(1, np.uint64)``, computed with SeedSequence's own
+    hash on Python ints: every child shares the pool mixed from the
+    root's words, and its spawn key (its index, one word) then meets
+    pool words 0 and 1, which are all a 64-bit state reads. That skips
+    building ``n`` SeedSequence objects (tests/experiments/test_sweep.py
+    holds the values to numpy's).
     """
-    return tuple(_spawn_seeds(np.random.SeedSequence(root), n))
+    if root < 0:
+        raise ValueError(f"expected non-negative integer, got {root}")
+    words = []
+    while True:
+        words.append(root & _M32)
+        root >>= 32
+        if not root:
+            break
+    # A spawned child's entropy is padded to the pool size (4 words).
+    words += [0] * (4 - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_L * x - _MIX_R * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # The spawn key: hashed into pool word 0 with (a0 -> a1), into word
+    # 1 with (a1 -> a2); the state's two words then hash those with
+    # generate_state's constants b1, b2.
+    a0 = hash_const
+    a1 = a0 * _MULT_A & _M32
+    a2 = a1 * _MULT_A & _M32
+    b1 = _INIT_B * _MULT_B & _M32
+    b2 = b1 * _MULT_B & _M32
+    pool0, pool1 = pool[0], pool[1]
+    seeds = []
+    for index in range(n):
+        h = (index ^ a0) * a1 & _M32
+        word0 = mix(pool0, h ^ h >> 16)
+        h = (index ^ a1) * a2 & _M32
+        word1 = mix(pool1, h ^ h >> 16)
+        low = (word0 ^ _INIT_B) * b1 & _M32
+        high = (word1 ^ b1) * b2 & _M32
+        seeds.append((low ^ low >> 16) | (high ^ high >> 16) << 32)
+    return tuple(seeds)
 
 
 def _spawn_seeds(root: np.random.SeedSequence, n: int) -> list[int]:
@@ -220,6 +285,7 @@ def run_cell(cell: Cell) -> CellResult:
             runtime=runtime,
             duty=cell.duty,
         )
+        result.outcome.metrics = runtime.metrics.snapshot()
     elif cell.kind == "throughput":
         (app,) = cell.apps
         load = (

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Optional
 
-from repro.metrics import MetricsRegistry
+from repro.metrics import Counter, FamilySpec, MetricsRegistry, family_table
 
 __all__ = [
     "BreakerState",
@@ -517,14 +517,40 @@ class OverloadGuard:
         }
 
 
+#: The policy's knobs when none are given (the record is frozen, so
+#: every deployment shares it).
+_DEFAULT_CONFIG = ResilienceConfig()
+
+_RETRIES = FamilySpec(
+    Counter,
+    "retries_total",
+    "FPGA kernel-run retries after mid-flight faults",
+    ("kernel",),
+)
+_FALLBACKS = FamilySpec(
+    Counter,
+    "fallbacks_total",
+    "invocations served by x86 instead of the decided target",
+    ("reason",),
+)
+_QUARANTINES = FamilySpec(
+    Counter,
+    "quarantines_total",
+    "circuit-breaker trips into the open state",
+    ("target",),
+)
+_POLICY_FAMILIES = family_table(_RETRIES, _FALLBACKS, _QUARANTINES)
+
+
 class ResiliencePolicy:
     """The runtime's shared resilience brain.
 
     One instance per :class:`~repro.core.runtime.XarTrekRuntime`; the
     application run loop, the scheduler server, and the chaos harness
-    all consult it. Counter families are registered eagerly (they
-    appear in every export at zero, making regressions diffable);
-    breaker gauge series appear only for targets that ever failed.
+    all consult it. Counter families are declared with the policy (they
+    appear in every export at zero, making regressions diffable, and
+    are built on first use); breaker gauge series appear only for
+    targets that ever failed.
     """
 
     KERNEL_PREFIX = "kernel:"
@@ -536,29 +562,11 @@ class ResiliencePolicy:
         metrics: MetricsRegistry,
         config: Optional[ResilienceConfig] = None,
     ):
-        self.config = config or ResilienceConfig()
+        self.config = config or _DEFAULT_CONFIG
         self.metrics = metrics
-        self._m_retries = metrics.counter(
-            "retries_total",
-            "FPGA kernel-run retries after mid-flight faults",
-            labelnames=("kernel",),
-        )
-        self._m_fallbacks = metrics.counter(
-            "fallbacks_total",
-            "invocations served by x86 instead of the decided target",
-            labelnames=("reason",),
-        )
-        self._m_quarantines = metrics.counter(
-            "quarantines_total",
-            "circuit-breaker trips into the open state",
-            labelnames=("target",),
-        )
+        metrics.declare(_POLICY_FAMILIES)
         self._device_recovery_listeners: list[Callable[[], None]] = []
-        # Label-child and key memos: labels() re-validates labelnames and
-        # re-hashes the key tuple on every call, which shows up in the
-        # per-client hot loop; the children are stable for a run.
-        self._retry_children: dict[str, object] = {}
-        self._fallback_children: dict[str, object] = {}
+        #: kernel name -> breaker key, built once per kernel.
         self._kernel_keys: dict[str, str] = {}
         self.breaker = CircuitBreaker(
             clock,
@@ -578,7 +586,7 @@ class ResiliencePolicy:
     def _record_failure(self, key: str) -> bool:
         tripped = self.breaker.record_failure(key)
         if tripped:
-            self._m_quarantines.labels(target=key).inc()
+            self.metrics.family(_QUARANTINES).labels(target=key).inc()
         return tripped
 
     def add_device_recovery_listener(self, listener: Callable[[], None]) -> None:
@@ -591,20 +599,10 @@ class ResiliencePolicy:
 
     # -- counters -----------------------------------------------------------
     def count_retry(self, kernel: str) -> None:
-        child = self._retry_children.get(kernel)
-        if child is None:
-            child = self._retry_children[kernel] = self._m_retries.labels(
-                kernel=kernel
-            )
-        child.inc()
+        self.metrics.family(_RETRIES).child(kernel).inc()
 
     def count_fallback(self, reason: str) -> None:
-        child = self._fallback_children.get(reason)
-        if child is None:
-            child = self._fallback_children[reason] = self._m_fallbacks.labels(
-                reason=reason
-            )
-        child.inc()
+        self.metrics.family(_FALLBACKS).child(reason).inc()
 
     # -- kernel-level breaker ------------------------------------------------
     def kernel_key(self, kernel: str) -> str:
@@ -646,11 +644,13 @@ class ResiliencePolicy:
         slower, so goodput < 1.0 with availability 1.0 is exactly the
         graceful-degradation contract.
         """
+        metrics = self.metrics
         fallbacks = {
-            key[0]: int(count) for key, count in self._m_fallbacks.as_dict().items()
+            key[0]: int(count)
+            for key, count in metrics.family(_FALLBACKS).as_dict().items()
         }
-        retries = int(self._m_retries.value)
-        quarantines = int(self._m_quarantines.value)
+        retries = int(metrics.family(_RETRIES).value)
+        quarantines = int(metrics.family(_QUARANTINES).value)
         invocations = 0
         family = self.metrics.get("invocations_total")
         if family is not None:

@@ -31,6 +31,12 @@ THUNDERX = CPUSpec(
 )
 
 
+#: The testbed's two servers. Specs are frozen values, so every
+#: platform on the paper's CPUs shares these two.
+_X86_SERVER = ServerSpec(cpu=XEON_BRONZE_3104, memory_bytes=64 * 2**30)
+_ARM_SERVER = ServerSpec(cpu=THUNDERX, memory_bytes=128 * 2**30)
+
+
 class HeterogeneousPlatform:
     """x86 server + ARM server + FPGA card, with their interconnects."""
 
@@ -49,28 +55,34 @@ class HeterogeneousPlatform:
         #: The run timeline when ``trace`` is on (the scheduler server
         #: appends its decisions and FPGA loads), else None.
         self.timeline: Optional[list[TimelineEvent]] = [] if trace else None
-        self.rng = RandomStreams(seed)
+        #: The simulated clock as a function, for every component that
+        #: timestamps (the metrics registry, the resilience policy). It
+        #: closes over the simulator, never over the platform: a clock
+        #: that held the platform would make the whole deployment a
+        #: reference cycle.
+        self.clock = clock = lambda: sim.now
         #: The shared telemetry spine: every component attached to this
         #: platform records into the same registry, timestamped by the
-        #: simulated clock and seeded by the platform RNG family. The
-        #: clock closes over the simulator, never over the platform: a
-        #: clock that held the platform would make the whole deployment
-        #: a reference cycle.
+        #: simulated clock and seeded by the platform RNG family.
         self.metrics = MetricsRegistry(
-            clock=lambda: sim.now, rng=self.rng.spawn("metrics")
+            clock=clock, rng=RandomStreams(seed).spawn("metrics")
         )
 
         self.ethernet = Link(self.sim, ethernet_spec)
         self.pcie = Link(self.sim, pcie_spec)
         self.x86 = Server(
             self.sim,
-            ServerSpec(cpu=x86_spec, memory_bytes=64 * 2**30),
+            _X86_SERVER
+            if x86_spec is _X86_SERVER.cpu
+            else ServerSpec(cpu=x86_spec, memory_bytes=_X86_SERVER.memory_bytes),
             nic=self.ethernet,
             metrics=self.metrics,
         )
         self.arm = Server(
             self.sim,
-            ServerSpec(cpu=arm_spec, memory_bytes=128 * 2**30),
+            _ARM_SERVER
+            if arm_spec is _ARM_SERVER.cpu
+            else ServerSpec(cpu=arm_spec, memory_bytes=_ARM_SERVER.memory_bytes),
             nic=self.ethernet,
             metrics=self.metrics,
         )

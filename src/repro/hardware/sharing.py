@@ -27,7 +27,6 @@ and flying — without changing a single completion time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -103,7 +102,7 @@ class FairShareServer:
         "job_cap",
         "_jobs",
         "_active",
-        "_ids",
+        "_next_id",
         "_last_update",
         "_epoch",
         "_load_integral",
@@ -132,7 +131,7 @@ class FairShareServer:
         self._jobs: dict[int, Job] = {}
         #: Active-job count: the copies of every job in ``_jobs``.
         self._active = 0
-        self._ids = itertools.count(1)
+        self._next_id = 1
         self._last_update = sim.now
         self._epoch = 0  # invalidates stale completion callbacks
         #: cumulative (active_jobs * dt) integral, for utilization stats
@@ -281,8 +280,10 @@ class FairShareServer:
                     capacity if busy > capacity else busy
                 ) * dt
             self._last_update = now
+        job_id = self._next_id
+        self._next_id = job_id + 1
         job = Job(
-            job_id=next(self._ids),
+            job_id=job_id,
             work=float(work),
             remaining=float(work),
             done=None if on_complete is not None else self.sim.event(),

@@ -14,10 +14,12 @@ __getattr__ = lazy_exports(globals(), {
         "DEFAULT_LATENCY_BUCKETS",
         "DEFAULT_PERCENTILES",
         "Counter",
+        "FamilySpec",
         "Gauge",
         "Histogram",
         "MetricError",
         "MetricsRegistry",
+        "family_table",
     ),
     ".export": ("flatten", "to_csv", "to_json"),
 })
@@ -26,10 +28,12 @@ __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_PERCENTILES",
+    "FamilySpec",
     "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",
+    "family_table",
     "flatten",
     "to_csv",
     "to_json",

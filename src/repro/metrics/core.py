@@ -31,7 +31,7 @@ from __future__ import annotations
 import array
 import bisect
 import hashlib
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,8 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_PERCENTILES",
+    "FamilySpec",
+    "family_table",
 ]
 
 
@@ -60,6 +62,21 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 
 #: Percentiles reported in snapshots.
 DEFAULT_PERCENTILES: tuple[int, ...] = (50, 90, 95, 99)
+
+
+def _normalized_buckets(name: str, buckets: Sequence[float]) -> tuple[float, ...]:
+    """Bucket bounds as the sorted float tuple a histogram bisects.
+
+    :data:`DEFAULT_LATENCY_BUCKETS` already is one, so the default is
+    taken as it is; caller-supplied bounds are sorted, converted and
+    checked here, once per family (its label children share the
+    family's tuple)."""
+    if buckets is DEFAULT_LATENCY_BUCKETS:
+        return buckets
+    normalized = tuple(sorted(float(b) for b in buckets))
+    if not normalized:
+        raise MetricError(f"{name}: need at least one bucket bound")
+    return normalized
 
 
 def _derived_rng(name: str, seed: int = 0) -> np.random.Generator:
@@ -106,7 +123,23 @@ class Metric:
                 f"{self.name} needs labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
+        return self._child_for(tuple(str(labelvalues[n]) for n in self.labelnames))
+
+    def child(self, *labelvalues: str) -> "Metric":
+        """:meth:`labels` for hot paths: the label values as strings, in
+        ``labelnames`` order. A hit is one dict lookup, so callers keep
+        no memo of their own."""
+        child = self._children.get(labelvalues)
+        if child is None:
+            if len(labelvalues) != len(self.labelnames) or not self.labelnames:
+                raise MetricError(
+                    f"{self.name} needs label values for {self.labelnames}, "
+                    f"got {labelvalues}"
+                )
+            child = self._child_for(tuple(str(value) for value in labelvalues))
+        return child
+
+    def _child_for(self, key: tuple[str, ...]) -> "Metric":
         child = self._children.get(key)
         if child is None:
             child = self._make_child()
@@ -315,16 +348,19 @@ class Histogram(Metric):
         on first overflow: ``streams.stream("metrics/<name>")`` from an
         optional :class:`~repro.sim.RandomStreams`, else a generator
         derived from the name. Most histograms never overflow, so most
-        never build one."""
+        never build one. A labelled family holds no series state of its
+        own: only its children observe."""
         super().__init__(name, help, labelnames, clock)
         if reservoir_size < 1:
             raise MetricError(f"{name}: reservoir_size must be >= 1")
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        if not self.buckets:
-            raise MetricError(f"{name}: need at least one bucket bound")
+        self.buckets = _normalized_buckets(name, buckets)
         self.reservoir_size = reservoir_size
         self._rng = rng
         self._streams = streams
+        if not self.labelnames:
+            self._start_series()
+
+    def _start_series(self) -> None:
         self._bucket_counts = [0] * (len(self.buckets) + 1)  # + overflow
         self._count = 0
         self._sum = 0.0
@@ -334,15 +370,16 @@ class Histogram(Metric):
         self._reservoir = array.array("d")
 
     def _make_child(self) -> "Histogram":
-        return Histogram(
-            self.name,
-            self.help,
-            clock=self._clock,
-            buckets=self.buckets,
-            reservoir_size=self.reservoir_size,
-            rng=self._rng,
-            streams=self._streams,
-        )
+        # The family's bounds are already normalized, so the child skips
+        # __init__'s checks and shares the family's tuple.
+        child = Histogram.__new__(Histogram)
+        Metric.__init__(child, self.name, self.help, clock=self._clock)
+        child.buckets = self.buckets
+        child.reservoir_size = self.reservoir_size
+        child._rng = self._rng
+        child._streams = self._streams
+        child._start_series()
+        return child
 
     def _reservoir_rng(self) -> np.random.Generator:
         """The reservoir's generator, made on first overflow (see
@@ -462,13 +499,41 @@ class Histogram(Metric):
         }
 
 
+class FamilySpec(NamedTuple):
+    """A metric family a component declares up front and makes on use.
+
+    A component's families are a module-level table (:func:`family_table`)
+    it hands to :meth:`MetricsRegistry.declare` once per deployment; the
+    registry makes a family object only when something first reads or
+    records it (:meth:`MetricsRegistry.family`). Until then the family
+    still exports, at zero, exactly as a registered family that nothing
+    touched. Declared histograms use the default buckets and reservoir.
+    """
+
+    cls: type
+    name: str
+    help: str = ""
+    labelnames: tuple[str, ...] = ()
+
+
+def family_table(*specs: FamilySpec) -> dict[str, FamilySpec]:
+    """``{name: spec}`` for :meth:`MetricsRegistry.declare`."""
+    table = {spec.name: spec for spec in specs}
+    if len(table) != len(specs):
+        raise MetricError("a family table names one family twice")
+    return table
+
+
 class MetricsRegistry:
     """A named collection of metric families sharing one (sim) clock.
 
     Registration is idempotent: asking for an existing name returns the
     existing family, provided the type and label names match — so
     loosely coupled components can share a series without plumbing
-    references around.
+    references around. A family can also be declared
+    (:meth:`declare`): it is part of the registry at once (names,
+    ``len``, snapshots) but its object is made on first use, so a
+    deployment pays only for the families its run records into.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None, rng=None):
@@ -479,6 +544,8 @@ class MetricsRegistry:
         self._clock = clock or (lambda: 0.0)
         self._rng = rng
         self._families: dict[str, Metric] = {}
+        #: Declared families not made yet (disjoint from _families).
+        self._declared: dict[str, FamilySpec] = {}
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the simulator clock (used by gauges' time weighting)."""
@@ -489,18 +556,60 @@ class MetricsRegistry:
                 child._clock = clock
 
     # -- registration ------------------------------------------------------
-    def _register(self, cls, name: str, help: str, labelnames, **kwargs) -> Metric:
-        existing = self._families.get(name)
+    def _new(self, cls, name: str, help: str, labelnames, **kwargs) -> Metric:
+        if cls is Histogram:
+            kwargs["streams"] = self._rng
+        return cls(name, help, labelnames, clock=self._clock, **kwargs)
+
+    def _existing(self, cls, name: str, labelnames):
+        """The family or declaration called ``name`` (``None`` if
+        neither), checked against the type and labels asked for."""
+        existing = self._families.get(name) or self._declared.get(name)
         if existing is not None:
-            if type(existing) is not cls or existing.labelnames != tuple(labelnames):
+            kind = existing.cls if isinstance(existing, FamilySpec) else type(existing)
+            if kind is not cls or existing.labelnames != tuple(labelnames):
                 raise MetricError(
                     f"metric {name!r} already registered as "
-                    f"{existing.kind} with labels {existing.labelnames}"
+                    f"{kind.kind} with labels {existing.labelnames}"
                 )
-            return existing
-        metric = cls(name, help, labelnames, clock=self._clock, **kwargs)
+        return existing
+
+    def _register(self, cls, name: str, help: str, labelnames, **kwargs) -> Metric:
+        existing = self._existing(cls, name, labelnames)
+        if existing is not None:
+            if not isinstance(existing, FamilySpec):
+                return existing
+            # First use of a declared family: the declaration wins, as
+            # an earlier registration would.
+            del self._declared[name]
+            help, labelnames, kwargs = existing.help, existing.labelnames, {}
+        metric = self._new(cls, name, help, labelnames, **kwargs)
         self._families[name] = metric
         return metric
+
+    def declare(self, families: dict[str, FamilySpec]) -> None:
+        """Add a :func:`family_table`'s families, each made on first use.
+
+        Declaring a family that is already registered or declared with
+        the same type and labels is a no-op; a clash raises
+        :class:`MetricError`, as registration does.
+        """
+        declared = self._declared
+        if declared.keys().isdisjoint(families) and self._families.keys().isdisjoint(
+            families
+        ):
+            declared.update(families)
+            return
+        for name, spec in families.items():
+            if self._existing(spec.cls, name, spec.labelnames) is None:
+                declared[name] = spec
+
+    def family(self, spec: FamilySpec) -> Metric:
+        """The family ``spec`` names, made now if it was only declared."""
+        family = self._families.get(spec.name)
+        if family is None:
+            family = self._register(spec.cls, spec.name, spec.help, spec.labelnames)
+        return family
 
     def counter(self, name: str, help: str = "", labelnames=()) -> Counter:
         return self._register(Counter, name, help, labelnames)
@@ -523,30 +632,38 @@ class MetricsRegistry:
             labelnames,
             buckets=buckets,
             reservoir_size=reservoir_size,
-            streams=self._rng,
         )
 
     # -- queries -----------------------------------------------------------
     def get(self, name: str) -> Optional[Metric]:
-        return self._families.get(name)
+        family = self._families.get(name)
+        if family is None and name in self._declared:
+            family = self.family(self._declared[name])
+        return family
 
     def names(self) -> list[str]:
-        return sorted(self._families)
+        return sorted(self._families.keys() | self._declared.keys())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._families
+        return name in self._families or name in self._declared
 
     def __len__(self) -> int:
-        return len(self._families)
+        return len(self._families) + len(self._declared)
 
     # -- export ------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Every family's snapshot, sorted by name (byte-stable)."""
-        return {
-            "metrics": [
-                self._families[name].snapshot() for name in sorted(self._families)
-            ]
-        }
+        """Every family's snapshot, sorted by name (byte-stable). A
+        declared family nothing used exports as a fresh family would."""
+        families, declared = self._families, self._declared
+        metrics = []
+        for name in self.names():
+            family = families.get(name)
+            if family is None:
+                spec = declared[name]
+                family = self._new(spec.cls, name, spec.help, spec.labelnames)
+            metrics.append(family.snapshot())
+        return {"metrics": metrics}
 
     def clear(self) -> None:
         self._families.clear()
+        self._declared.clear()

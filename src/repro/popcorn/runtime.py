@@ -15,8 +15,7 @@ from typing import Optional
 from repro.hardware.platform import HeterogeneousPlatform
 from repro.popcorn.binary import MultiISABinary
 from repro.popcorn.dsm import DSM
-from repro.popcorn.migration_points import LivenessMetadata
-from repro.popcorn.state import MachineState, StateTransformer, TransformError
+from repro.popcorn.state import MachineState, TransformError, TransformMemo
 from repro.sim import Event
 from repro.types import Target
 
@@ -51,26 +50,17 @@ class PopcornRuntime:
     def __init__(
         self,
         platform: HeterogeneousPlatform,
-        metadata: LivenessMetadata,
+        transforms: TransformMemo,
         dsm: Optional[DSM] = None,
     ):
+        """``transforms`` is the binary's memoized state transformer; a
+        deployment passes its compilation's
+        (:meth:`repro.compiler.pipeline.CompilationResult.transforms_for`),
+        so the memo outlives the deployment."""
         self.platform = platform
-        self.transformer = StateTransformer(metadata)
+        self.transforms = transforms
         self.dsm = dsm
         self._next_thread_id = 1
-        #: Transform memo shared by every thread on this runtime:
-        #: ``{(id(source_state), to_isa): (source_state, result_state,
-        #: cost_s, state_bytes)}`` plus a reverse index from a result
-        #: state back to its source. Machine states are immutable on the
-        #: migration path and threads ping-pong between the same two
-        #: states, so after the first bounce every migration is a memo
-        #: hit; keeping a strong reference to the key state inside the
-        #: value makes the id()-key safe (the identity check below can
-        #: never see a recycled id). Correctness of the reverse reuse
-        #: rests on the transformer's tested bit-identical round-trip
-        #: property.
-        self._transform_memo: dict = {}
-        self._reverse_memo: dict = {}
 
     def spawn_thread(
         self, binary: MultiISABinary, state: MachineState, node: Target = Target.X86
@@ -117,37 +107,12 @@ class PopcornRuntime:
 
         source_cluster = self.platform.cluster(thread.node)
         state = thread.state
-        memo = self._transform_memo
-        key = (id(state), to_isa)
-        entry = memo.get(key)
-        if entry is not None and entry[0] is state:
-            # Forward hit: this exact state object was transformed to
-            # ``to_isa`` before (cost and size are functions of the
-            # source state, so they are memoized alongside).
-            new_state, transform_cost, state_bytes = entry[1], entry[2], entry[3]
-        else:
-            rev = self._reverse_memo.get(id(state))
-            if rev is not None and rev[0] is state and rev[1].isa == to_isa:
-                # Reverse hit: ``state`` is itself the result of
-                # transforming ``rev[1]`` here earlier. The round trip
-                # is bit-identical (a tested transformer property), so
-                # transforming back must reproduce ``rev[1]`` — reuse
-                # it and memoize the forward direction for next time.
-                new_state = rev[1]
-                transform_cost = self.transformer.transform_cost_seconds(state)
-                state_bytes = state.size_bytes()
-                memo[key] = (state, new_state, transform_cost, state_bytes)
-            else:
-                try:
-                    new_state = self.transformer.transform(state, to_isa)
-                except TransformError as exc:
-                    raise MigrationError(
-                        f"state transformation failed: {exc}"
-                    ) from exc
-                transform_cost = self.transformer.transform_cost_seconds(state)
-                state_bytes = state.size_bytes()
-                memo[key] = (state, new_state, transform_cost, state_bytes)
-                self._reverse_memo[id(new_state)] = (new_state, state)
+        try:
+            new_state, transform_cost, state_bytes = self.transforms.transform(
+                state, to_isa
+            )
+        except TransformError as exc:
+            raise MigrationError(f"state transformation failed: {exc}") from exc
         done = self.platform.sim.event()
         source_node, dest_node = thread.node, to
 
@@ -167,7 +132,7 @@ class PopcornRuntime:
         def after_wire(_ev: Event) -> None:
             if self.dsm is not None and thread.dirty_pages:
                 self.dsm.migrate_pages(
-                    str(source_node), str(dest_node), thread.dirty_pages
+                    source_node.label, dest_node.label, thread.dirty_pages
                 ).callbacks.append(after_pages)
             else:
                 commit()
@@ -186,7 +151,7 @@ class PopcornRuntime:
         Used by threshold estimation and tests; the simulated cost adds
         contention on top of this uncontended lower bound.
         """
-        transform = self.transformer.transform_cost_seconds(state)
+        transform = self.transforms.transformer.transform_cost_seconds(state)
         wire = self.platform.ethernet.ideal_transfer_time(
             state.size_bytes() + working_set_bytes
         )

@@ -24,7 +24,14 @@ from repro.popcorn.migration_points import (
     StackLoc,
 )
 
-__all__ = ["Frame", "MachineState", "StateTransformer", "TransformError", "STACK_TOP"]
+__all__ = [
+    "Frame",
+    "MachineState",
+    "StateTransformer",
+    "TransformError",
+    "TransformMemo",
+    "STACK_TOP",
+]
 
 #: Top of the (downward-growing) user stack; the same virtual address on
 #: every ISA, per Popcorn's aligned address-space layout.
@@ -240,3 +247,54 @@ class StateTransformer:
             if values_a != values_b:
                 return False
         return True
+
+
+class TransformMemo:
+    """One binary's state transformations, each computed once.
+
+    Machine states are immutable on the migration path, and a thread
+    ping-pongs between the same two states: its application's prototype
+    initial state (shared by every run of the compilation, see
+    :attr:`repro.compiler.pipeline.CompilationResult.initial_states`)
+    and that state's transform. So the compilation keeps one memo per
+    application and every deployment's :class:`~repro.popcorn.runtime.PopcornRuntime`
+    uses it: after the first bounce of the first run, every migration
+    is a memo hit, on every deployment of the compilation. The cost is
+    still charged in simulated time on each migration; only the
+    host-side recomputation of an identical result is skipped.
+    """
+
+    __slots__ = ("transformer", "_forward", "_reverse")
+
+    def __init__(self, metadata: LivenessMetadata):
+        self.transformer = StateTransformer(metadata)
+        #: ``{(id(source_state), to_isa): (source_state, result_state,
+        #: cost_s, state_bytes)}``. The entry keeps a strong reference
+        #: to its key state, so the identity check in :meth:`transform`
+        #: can never see a recycled id.
+        self._forward: dict = {}
+        #: ``{id(result_state): (result_state, source_state)}``.
+        self._reverse: dict = {}
+
+    def transform(self, state: MachineState, to_isa: str) -> tuple:
+        """``(new_state, cost_s, state_bytes)`` for moving ``state`` to
+        ``to_isa``: the transformed state, the CPU time the
+        transformation costs and the bytes it ships."""
+        key = (id(state), to_isa)
+        entry = self._forward.get(key)
+        if entry is not None and entry[0] is state:
+            return entry[1], entry[2], entry[3]
+        transformer = self.transformer
+        rev = self._reverse.get(id(state))
+        if rev is not None and rev[0] is state and rev[1].isa == to_isa:
+            # ``state`` is itself the transform of ``rev[1]``: the round
+            # trip is bit-identical (a tested transformer property), so
+            # transforming back must reproduce ``rev[1]``.
+            new_state = rev[1]
+        else:
+            new_state = transformer.transform(state, to_isa)
+            self._reverse[id(new_state)] = (new_state, state)
+        cost = transformer.transform_cost_seconds(state)
+        state_bytes = state.size_bytes()
+        self._forward[key] = (state, new_state, cost, state_bytes)
+        return new_state, cost, state_bytes

@@ -17,7 +17,6 @@ number, so two simulations with the same seed replay identically.
 from __future__ import annotations
 
 import heapq
-import itertools
 from math import inf
 from typing import Any, Callable, Optional
 
@@ -97,7 +96,9 @@ class Event:
         self._value = value
         self._state = Event.TRIGGERED
         sim = self.sim
-        heapq.heappush(sim._queue, (sim.now, next(sim._seq), Event._process, self))
+        seq = sim._seq
+        sim._seq = seq + 1
+        heapq.heappush(sim._queue, (sim.now, seq, Event._process, self))
         return self
 
     def succeed_in_place(self, value: Any = None) -> None:
@@ -210,9 +211,9 @@ class Simulator:
         #: Binary heap of ``(at, seq, fn, arg)`` entries, each run as
         #: ``fn(arg)``, or ``fn()`` when ``arg`` is ``_NO_ARG``. ``seq``
         #: breaks timestamp ties in scheduling order, so ``fn`` and
-        #: ``arg`` are never compared.
+        #: ``arg`` are never compared; ``_seq`` is the next one.
         self._queue: list = []
-        self._seq = itertools.count()
+        self._seq = 0
         #: Queue entries run so far; the benchmark reports it as the
         #: simulated events of an iteration.
         self.events_processed: int = 0
@@ -220,7 +221,9 @@ class Simulator:
     # -- scheduling primitives ----------------------------------------------
     def _enqueue(self, at: float, event: Event) -> None:
         """Queue the processing of a triggered ``event`` at time ``at``."""
-        heapq.heappush(self._queue, (at, next(self._seq), Event._process, event))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (at, seq, Event._process, event))
 
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
@@ -232,7 +235,9 @@ class Simulator:
             raise SimulationError(
                 f"call_at({when}) is in the past or not a finite time (now={self.now})"
             )
-        heapq.heappush(self._queue, (when, next(self._seq), fn, arg))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (when, seq, fn, arg))
 
     def defer(self, delay: float, fn: Callable, arg: Any = _NO_ARG) -> None:
         """Run ``fn`` (or ``fn(arg)``) after ``delay`` simulated seconds.
@@ -245,7 +250,9 @@ class Simulator:
             raise SimulationError(
                 f"defer delay must be finite and >= 0, got {delay!r}"
             )
-        heapq.heappush(self._queue, (self.now + delay, next(self._seq), fn, arg))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (self.now + delay, seq, fn, arg))
 
     def call_every(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.types import Target
 
@@ -64,7 +64,11 @@ class ThresholdTable:
     """All applications' rows; the artifact step G writes out."""
 
     def __init__(self, entries: Iterable[ThresholdEntry] = ()):
-        self._entries: dict[str, ThresholdEntry] = {}
+        #: Rows by application; ``None`` marks a row of a :meth:`copy`
+        #: not copied yet.
+        self._entries: dict[str, Optional[ThresholdEntry]] = {}
+        #: The table this one is a copy of (see :meth:`copy`).
+        self._source: Optional[ThresholdTable] = None
         for entry in entries:
             self.add(entry)
 
@@ -79,7 +83,9 @@ class ThresholdTable:
         # exceptional case but exception setup is not free.
         found = self._entries.get(application)
         if found is None:
-            raise ThresholdError(f"no threshold entry for {application!r}")
+            if application not in self._entries:
+                raise ThresholdError(f"no threshold entry for {application!r}")
+            found = self._entries[application] = self._source.entry(application).copy()
         return found
 
     def has(self, application: str) -> bool:
@@ -92,10 +98,18 @@ class ThresholdTable:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self._entries.values())
+        return (self.entry(application) for application in self._entries)
 
     def copy(self) -> "ThresholdTable":
-        return ThresholdTable(entry.copy() for entry in self)
+        """An independent table: updates to the copy never reach this
+        one. Each row is copied when the copy first reads it, so a
+        deployment that never consults a row never copies it; this
+        table must therefore not change while a copy of it is in use
+        (a compilation's table never does)."""
+        table = ThresholdTable()
+        table._entries = dict.fromkeys(self._entries)
+        table._source = self
+        return table
 
     # -- serialization (the tool's text output, Section 3.1) ----------------
     def to_text(self) -> str:

@@ -13,7 +13,11 @@ __all__ = ["Target"]
 
 
 class Target(enum.IntEnum):
-    """Where a selected function executes."""
+    """Where a selected function executes.
+
+    ``label`` is the lowercase name (``"x86"``, ``"arm"``, ``"fpga"``),
+    which is also what ``str()`` prints.
+    """
 
     X86 = 0
     ARM = 1
@@ -29,4 +33,13 @@ class Target(enum.IntEnum):
         raise ValueError("FPGA target has no CPU ISA")
 
     def __str__(self) -> str:
-        return self.name.lower()
+        return self.label
+
+
+# ``label`` is the lowercase name, precomputed: ``self.name`` goes
+# through the enum's ``name`` descriptor, and metric labels, DSM node
+# names and the scorers print targets thousands of times per experiment
+# (hot paths read ``target.label`` and skip ``str()``'s dispatch too).
+for _target in Target:
+    _target.label = _target.name.lower()
+del _target

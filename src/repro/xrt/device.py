@@ -12,13 +12,19 @@ latency recorded in the XCLBIN (or a caller-supplied duration).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.hardware.fpga import FPGADevice
 from repro.hardware.interconnect import Link
-from repro.metrics import MetricsRegistry
+from repro.metrics import (
+    Counter,
+    FamilySpec,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    family_table,
+)
 from repro.sim import Event, SimulationError, Simulator
 
 __all__ = ["Buffer", "KernelRun", "XRTDevice", "XRTError"]
@@ -52,6 +58,43 @@ class KernelRun:
         return self.finished_at - self.started_at
 
 
+_RECONFIG = FamilySpec(
+    Histogram,
+    "fpga_reconfiguration_seconds",
+    "wall time of each FPGA reconfiguration (incl. failed)",
+)
+_RECONFIG_TOTAL = FamilySpec(
+    Counter,
+    "fpga_reconfiguration_seconds_total",
+    "total time spent programming the card",
+)
+_OVERLAP = FamilySpec(
+    Counter,
+    "fpga_reconfig_overlap_core_seconds_total",
+    "x86 core-seconds executed while a reconfiguration was in flight",
+)
+_OCCUPANCY = FamilySpec(
+    Gauge, "fpga_active_runs", "in-flight kernel invocations on the card"
+)
+_KERNEL_RUNS = FamilySpec(
+    Histogram,
+    "fpga_kernel_run_seconds",
+    "end-to-end h2d+execute+d2h time per kernel invocation",
+    ("kernel",),
+)
+_RUN_FAILURES = FamilySpec(
+    Counter,
+    "fpga_kernel_failures_total",
+    "kernel invocations that failed mid-flight",
+    ("kernel",),
+)
+#: The device's families, declared with it and made on first use (a
+#: run that never programs the card exports them at zero).
+_FAMILIES = family_table(
+    _RECONFIG, _RECONFIG_TOTAL, _OVERLAP, _OCCUPANCY, _KERNEL_RUNS, _RUN_FAILURES
+)
+
+
 class XRTDevice:
     """The host-side runtime for one accelerator card."""
 
@@ -70,7 +113,7 @@ class XRTDevice:
         self.fpga = fpga
         self.pcie = pcie
         self.host_cpu = host_cpu
-        self._buffer_ids = itertools.count(1)
+        self._next_buffer_id = 1
         self._loaded_image = None
         #: In-flight kernel executions (the scheduler must not
         #: reconfigure under a running kernel).
@@ -79,34 +122,7 @@ class XRTDevice:
         self.failed_runs = 0
         self._fail_next_runs: dict[str, int] = {}
         self.metrics = metrics or MetricsRegistry(clock=lambda: sim.now)
-        self._m_reconfig = self.metrics.histogram(
-            "fpga_reconfiguration_seconds",
-            "wall time of each FPGA reconfiguration (incl. failed)",
-        )
-        self._m_reconfig_total = self.metrics.counter(
-            "fpga_reconfiguration_seconds_total",
-            "total time spent programming the card",
-        )
-        self._m_overlap = self.metrics.counter(
-            "fpga_reconfig_overlap_core_seconds_total",
-            "x86 core-seconds executed while a reconfiguration was in flight",
-        )
-        self._m_occupancy = self.metrics.gauge(
-            "fpga_active_runs", "in-flight kernel invocations on the card"
-        )
-        self._m_kernel_runs = self.metrics.histogram(
-            "fpga_kernel_run_seconds",
-            "end-to-end h2d+execute+d2h time per kernel invocation",
-            labelnames=("kernel",),
-        )
-        self._m_run_failures = self.metrics.counter(
-            "fpga_kernel_failures_total",
-            "kernel invocations that failed mid-flight",
-            labelnames=("kernel",),
-        )
-        #: kernel -> histogram child; labels() revalidation is hot on
-        #: the per-invocation path.
-        self._run_hist_children: dict = {}
+        self.metrics.declare(_FAMILIES)
 
     # -- fault injection ---------------------------------------------------
     def inject_run_failures(self, kernel_name: str, count: int = 1) -> None:
@@ -159,10 +175,11 @@ class XRTDevice:
 
             def account(_event: Event) -> None:
                 elapsed = self.sim.now - started_at
-                self._m_reconfig.observe(elapsed)
-                self._m_reconfig_total.inc(elapsed)
+                metrics = self.metrics
+                metrics.family(_RECONFIG).observe(elapsed)
+                metrics.family(_RECONFIG_TOTAL).inc(elapsed)
                 if self.host_cpu is not None:
-                    self._m_overlap.inc(
+                    metrics.family(_OVERLAP).inc(
                         max(0.0, self.host_cpu.busy_core_seconds() - cpu_busy_before)
                     )
 
@@ -197,7 +214,7 @@ class XRTDevice:
         programming pass is in flight — new runs queue behind it) and
         ``resident_kernels`` (CUs usable on the configured image).
         """
-        snapshot = dict(self._m_occupancy.aggregates())
+        snapshot = dict(self.metrics.family(_OCCUPANCY).aggregates())
         snapshot["reconfiguring"] = 1.0 if self.reconfiguring else 0.0
         snapshot["resident_kernels"] = float(len(self.fpga.available_kernels))
         return snapshot
@@ -206,7 +223,9 @@ class XRTDevice:
     def alloc_buffer(self, nbytes: int) -> Buffer:
         if nbytes < 0:
             raise XRTError(f"negative buffer size {nbytes}")
-        return Buffer(buffer_id=next(self._buffer_ids), nbytes=nbytes)
+        buffer_id = self._next_buffer_id
+        self._next_buffer_id = buffer_id + 1
+        return Buffer(buffer_id=buffer_id, nbytes=nbytes)
 
     def sync_to_device(self, buffer: Buffer) -> Event:
         """Host -> card over PCIe (``clEnqueueMigrateMemObjects``)."""
@@ -261,7 +280,8 @@ class XRTDevice:
         done = sim.event()
         started = sim.now
         self.active_runs += 1
-        self._m_occupancy.set(self.active_runs)
+        occupancy = self.metrics.family(_OCCUPANCY)
+        occupancy.set(self.active_runs)
 
         fail_this_run = self._fail_next_runs.get(kernel_name, 0) > 0
         if fail_this_run:
@@ -276,14 +296,14 @@ class XRTDevice:
         # hottest path of the FPGA experiments.
         def fail(exc: Exception) -> None:
             self.active_runs -= 1
-            self._m_occupancy.set(self.active_runs)
+            occupancy.set(self.active_runs)
             self.failed_runs += 1
-            self._m_run_failures.labels(kernel=kernel_name).inc()
+            self.metrics.family(_RUN_FAILURES).child(kernel_name).inc()
             done.fail(XRTError(str(exc)))
 
         def finish(_ev: Optional[Event] = None) -> None:
             self.active_runs -= 1
-            self._m_occupancy.set(self.active_runs)
+            occupancy.set(self.active_runs)
             run = KernelRun(
                 kernel_name=kernel_name,
                 bytes_in=bytes_in,
@@ -292,12 +312,7 @@ class XRTDevice:
                 finished_at=sim.now,
             )
             self.completed_runs += 1
-            hist = self._run_hist_children.get(kernel_name)
-            if hist is None:
-                hist = self._run_hist_children[kernel_name] = (
-                    self._m_kernel_runs.labels(kernel=kernel_name)
-                )
-            hist.observe(run.duration)
+            self.metrics.family(_KERNEL_RUNS).child(kernel_name).observe(run.duration)
             done.succeed_in_place(run)
 
         def after_execute(ev: Event) -> None:

@@ -10,6 +10,7 @@ from repro.core.application import ApplicationRun
 from repro.core.server import ServerStats
 from repro.metrics import MetricsRegistry
 from repro.sim import SimulationError
+from repro.types import Target
 
 
 def _break_x86_run(monkeypatch):
@@ -88,9 +89,11 @@ class TestServerStatsRegistry:
     def test_stats_and_registry_share_counters(self):
         metrics = MetricsRegistry()
         stats = ServerStats(metrics)
-        stats._requests.inc()
+        stats.record_decisions({Target.X86: 1}, {"x86": 1})
         assert stats.requests == 1
         assert metrics.get("scheduler_requests_total").value == 1
+        metrics.get("scheduler_requests_total").inc()
+        assert stats.requests == 2
 
     def test_scheduler_counts_reach_the_platform_registry(self):
         runtime = build_system(["cg.A"])

@@ -7,6 +7,8 @@ numbers — the full-scale versions live in benchmarks/.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SystemMode
 from repro.experiments import (
@@ -43,6 +45,81 @@ class TestHarness:
         assert outcome.average_s > 0
         assert outcome.max_s >= outcome.average_s
         assert outcome.target_counts() == {"x86": 3}
+
+    def test_an_empty_set_is_refused_before_anything_is_built(self, monkeypatch):
+        import repro.experiments.harness as harness
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a deployment for an empty set")
+
+        monkeypatch.setattr(harness, "build_system", no_build)
+        with pytest.raises(ValueError, match="at least one application"):
+            run_application_set([], SystemMode.XAR_TREK)
+        with pytest.raises(ValueError, match="at least one application"):
+            run_application_set((), SystemMode.VANILLA_X86, background=10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=40))
+    def test_average_and_max_are_numpys(self, elapsed):
+        from repro.core.application import RunRecord
+        from repro.experiments.harness import SetOutcome
+
+        outcome = SetOutcome(
+            mode=SystemMode.VANILLA_X86,
+            apps=("digit.500",) * len(elapsed),
+            records=[
+                RunRecord(app="digit.500", mode=SystemMode.VANILLA_X86, seed=0,
+                          start_s=1.0, end_s=1.0 + value)
+                for value in elapsed
+            ],
+        )
+        values = [rec.elapsed_s for rec in outcome.records]
+        assert outcome.average_s == float(np.mean(values))
+        assert outcome.max_s == float(np.max(values))
+        assert type(outcome.average_s) is float and type(outcome.max_s) is float
+
+    def test_the_set_primitive_takes_no_snapshot(self, monkeypatch):
+        from repro.experiments.sweep import Cell, run_cell
+        from repro.metrics import MetricsRegistry
+
+        taken = []
+        snapshot = MetricsRegistry.snapshot
+
+        def counting(self):
+            taken.append(self)
+            return snapshot(self)
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", counting)
+        outcome = run_application_set(
+            ("digit.500", "cg.A"), SystemMode.XAR_TREK, background=10, seed=2
+        )
+        assert outcome.metrics is None and taken == []
+        # The sweep's cells are its readers: one snapshot each.
+        cell = Cell(kind="set", apps=("digit.500", "cg.A"),
+                    mode=SystemMode.XAR_TREK, seed=2, background=10)
+        result = run_cell(cell)
+        assert len(taken) == 1
+        assert result.outcome.metrics["metrics"]
+
+    def test_cell_results_and_metrics_exports_keep_their_bytes(self):
+        # Pinned from the code that took the snapshot inside
+        # run_application_set: the readers that now take it must export
+        # the same bytes.
+        import hashlib
+
+        from repro.experiments.observability import high_load_metrics
+        from repro.experiments.sweep import cells_for_sets, results_checksum, run_cell
+
+        modes = (SystemMode.VANILLA_X86, SystemMode.ALWAYS_FPGA, SystemMode.XAR_TREK)
+        cells = cells_for_sets(4, modes, background=30, repeats=2, seed=3)
+        assert results_checksum([run_cell(c) for c in cells]) == "cadbbbabdbe10097"
+        run = high_load_metrics(set_size=6, total_processes=60, seed=0)
+        assert hashlib.sha256(run.to_json().encode()).hexdigest() == (
+            "05747541f2426a719b1ad4918a3b215780d88072c43dbf053031b72116fa2ac5"
+        )
+        assert hashlib.sha256(run.to_csv().encode()).hexdigest() == (
+            "b62c10687f0a7eb8d530b82d88108b76ea5744a26a7cbb1492a53a85cb0653d4"
+        )
 
     def test_same_seed_same_results(self):
         apps = ("digit.500", "cg.A")

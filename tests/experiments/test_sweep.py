@@ -11,7 +11,10 @@ import os
 import pickle
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SystemMode, build_system
 from repro.experiments import (
@@ -28,6 +31,7 @@ from repro.experiments import (
 from repro.experiments.sweep import (
     Cell,
     SweepCache,
+    _int_root_seeds,
     cells_for_sets,
     cells_for_throughput,
     derive_seeds,
@@ -39,6 +43,7 @@ from repro.experiments.sweep import (
     shutdown_pool,
     sweep_metrics,
 )
+from repro.experiments import harness
 from repro.experiments import sweep as sweep_module
 from repro.metrics import MetricsRegistry
 
@@ -74,6 +79,34 @@ class TestSeedDerivation:
         assert derive_seeds(7, 5) == derive_seeds(7, 5)
         assert derive_seeds(7, 5) != derive_seeds(8, 5)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        root=st.one_of(
+            st.integers(0, 2**32 + 5),
+            st.integers(0, 2**64),
+            st.integers(2**128 - 3, 2**128 + 3),
+            st.integers(0, 2**300),
+        ),
+        n=st.integers(0, 40),
+    )
+    def test_int_roots_give_numpys_spawned_states(self, root, n):
+        # derive_seeds computes an int root's children with
+        # SeedSequence's hash itself; numpy is the reference.
+        _int_root_seeds.cache_clear()
+        expected = [
+            int(child.generate_state(1, dtype=np.uint64)[0])
+            for child in np.random.SeedSequence(root).spawn(n)
+        ]
+        assert derive_seeds(root, n) == expected
+        assert derive_seeds(np.random.SeedSequence(root), n) == expected
+
+    def test_a_negative_root_is_refused_as_numpy_refuses_it(self):
+        _int_root_seeds.cache_clear()
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds(-1, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence(-1)
+
     def test_cells_share_sets_and_seeds_across_modes(self):
         cells = _mini_cells(repeats=3)
         by_repeat = [cells[i : i + len(_MODES)] for i in range(0, len(cells), len(_MODES))]
@@ -91,17 +124,28 @@ class TestRunApplicationSet:
                 ("digit.500", "cg.A"), SystemMode.VANILLA_X86, runtime=runtime
             )
 
-    def test_prebuilt_runtime_matches_fresh_build(self):
+    def test_prebuilt_runtime_matches_fresh_build(self, monkeypatch):
         # With the same seed, passing a prebuilt runtime is documented
         # to be equivalent to letting run_application_set build one.
+        # run_application_set takes no snapshot, so the deployment it
+        # builds is caught on its way out and both registries compared.
+        built = []
+
+        def recording_build(*args, **kwargs):
+            built.append(build_system(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_system", recording_build)
         apps = ("digit.500", "cg.A")
         fresh = run_application_set(apps, SystemMode.XAR_TREK, background=20, seed=5)
+        runtime = build_system(sorted(set(apps)), seed=5)
         prebuilt = run_application_set(
-            apps, SystemMode.XAR_TREK, background=20, seed=5,
-            runtime=build_system(sorted(set(apps)), seed=5),
+            apps, SystemMode.XAR_TREK, background=20, seed=5, runtime=runtime,
         )
         assert fresh.average_s == prebuilt.average_s
-        assert fresh.metrics == prebuilt.metrics
+        fresh_snapshot = built[0].metrics.snapshot()
+        assert fresh_snapshot["metrics"]
+        assert fresh_snapshot == runtime.metrics.snapshot()
 
 
 class TestSerialParallelEquivalence:

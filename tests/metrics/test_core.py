@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    Counter,
+    FamilySpec,
+    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
+    family_table,
     flatten,
     to_csv,
     to_json,
@@ -305,6 +309,109 @@ class TestRegistry:
         clock.set(2.0)
         child.set(1)
         assert child.time_weighted_mean() == pytest.approx(5.0)
+
+
+class TestBuckets:
+    def test_default_buckets_are_taken_as_they_are(self):
+        hist = MetricsRegistry().histogram("h")
+        assert hist.buckets is DEFAULT_LATENCY_BUCKETS
+
+    def test_children_share_the_family_bounds(self):
+        family = MetricsRegistry().histogram(
+            "h", labelnames=("k",), buckets=[3, 1, 2.5]
+        )
+        assert family.buckets == (1.0, 2.5, 3.0)
+        assert family.labels(k="a").buckets is family.buckets
+        assert family.child("b").buckets is family.buckets
+
+    def test_caller_buckets_are_still_checked(self):
+        reg = MetricsRegistry()
+        with pytest.raises(MetricError, match="at least one bucket"):
+            reg.histogram("empty", buckets=[])
+        with pytest.raises(ValueError):
+            reg.histogram("bad", buckets=["x"])
+
+    def test_a_labelled_family_holds_no_series_state(self):
+        family = MetricsRegistry().histogram("h", labelnames=("k",))
+        assert not hasattr(family, "_reservoir")
+        assert not hasattr(family, "_bucket_counts")
+        family.labels(k="a").observe(0.5)
+        assert family.count == 1
+
+
+class TestChild:
+    def test_child_is_the_labels_series(self):
+        family = MetricsRegistry().counter("c", labelnames=("app", "target"))
+        assert family.child("a", "x86") is family.labels(app="a", target="x86")
+        assert family.child("a", "arm") is family.labels(target="arm", app="a")
+
+    def test_child_needs_every_label(self):
+        reg = MetricsRegistry()
+        with pytest.raises(MetricError):
+            reg.counter("c", labelnames=("a", "b")).child("x")
+        with pytest.raises(MetricError):
+            reg.counter("plain").child()
+
+
+_DECLARED = family_table(
+    FamilySpec(Counter, "d_total", "a declared counter"),
+    FamilySpec(Counter, "d_by_kind_total", "a labelled one", ("kind",)),
+    FamilySpec(Gauge, "d_gauge", "a declared gauge"),
+    FamilySpec(Histogram, "d_seconds", "a declared histogram"),
+    FamilySpec(Histogram, "d_by_kind_seconds", "labelled", ("kind",)),
+)
+
+
+class TestDeclaredFamilies:
+    def test_declared_families_export_as_registered_untouched_ones(self, clock):
+        declared = MetricsRegistry(clock=clock)
+        declared.declare(_DECLARED)
+        registered = MetricsRegistry(clock=clock)
+        register = {
+            Counter: registered.counter,
+            Gauge: registered.gauge,
+            Histogram: registered.histogram,
+        }
+        for spec in _DECLARED.values():
+            register[spec.cls](spec.name, spec.help, spec.labelnames)
+        assert declared.names() == registered.names()
+        assert len(declared) == len(registered) == len(_DECLARED)
+        assert "d_gauge" in declared
+        assert to_json(declared.snapshot()) == to_json(registered.snapshot())
+        assert not declared._families  # exporting made nothing
+
+    def test_first_use_makes_the_family_once(self):
+        reg = MetricsRegistry()
+        reg.declare(_DECLARED)
+        spec = _DECLARED["d_total"]
+        family = reg.family(spec)
+        assert reg.family(spec) is family is reg.get("d_total")
+        assert reg.counter("d_total") is family
+        assert family.help == "a declared counter"
+        family.inc(2)
+        snap = {fam["name"]: fam for fam in reg.snapshot()["metrics"]}
+        assert snap["d_total"]["series"] == [{"labels": {}, "value": 2.0}]
+
+    def test_declaring_twice_is_a_no_op_and_a_clash_raises(self):
+        reg = MetricsRegistry()
+        reg.declare(_DECLARED)
+        reg.family(_DECLARED["d_gauge"])
+        reg.declare(_DECLARED)
+        assert len(reg) == len(_DECLARED)
+        with pytest.raises(MetricError):
+            reg.counter("d_gauge")
+        with pytest.raises(MetricError):
+            reg.counter("d_seconds")
+        with pytest.raises(MetricError):
+            reg.declare(family_table(FamilySpec(Gauge, "d_total")))
+        with pytest.raises(MetricError, match="twice"):
+            family_table(FamilySpec(Gauge, "x"), FamilySpec(Counter, "x"))
+
+    def test_clear_drops_declarations(self):
+        reg = MetricsRegistry()
+        reg.declare(_DECLARED)
+        reg.clear()
+        assert len(reg) == 0 and reg.snapshot() == {"metrics": []}
 
 
 class TestExport:

@@ -15,6 +15,7 @@ from repro.popcorn import (
     PAGE_SIZE,
     PopcornRuntime,
     StateTransformer,
+    TransformMemo,
     allocate_locations,
 )
 from repro.types import Target
@@ -31,7 +32,7 @@ def make_runtime(with_dsm=False, isas=("x86_64", "aarch64")):
         dsm = DSM(platform.sim, platform.ethernet)
         dsm.add_node("x86")
         dsm.add_node("arm")
-    runtime = PopcornRuntime(platform, metadata, dsm=dsm)
+    runtime = PopcornRuntime(platform, TransformMemo(metadata), dsm=dsm)
     images = {
         isa: ISAImage(isa, 100_000, 10_000, 2_000) for isa in isas
     }
@@ -134,3 +135,45 @@ class TestMigrate:
         thread = runtime.spawn_thread(binary, state)
         platform.sim.run_until_event(runtime.migrate(thread, Target.ARM))
         assert platform.x86.cpu.utilization() > 0
+
+
+class TestSharedTransforms:
+    """A compilation owns its applications' transform memos, so only its
+    first deployment computes a state transformation."""
+
+    def _forced_arm_run(self, result):
+        import math
+
+        from repro.core import SystemMode, XarTrekRuntime
+
+        runtime = XarTrekRuntime(result, platform=paper_testbed())
+        entry = runtime.server.thresholds.entry("digit.500")
+        entry.fpga_threshold = math.inf
+        entry.arm_threshold = 0.0
+        record = runtime.platform.sim.run_until_event(
+            runtime.launch("digit.500", mode=SystemMode.XAR_TREK, calls=2)
+        )
+        assert record.targets == [Target.ARM, Target.ARM]
+        return record
+
+    def test_a_second_deployment_transforms_nothing(self, monkeypatch):
+        from repro.compiler.pipeline import XarTrekCompiler
+        from repro.core.runtime import spec_for
+
+        calls = []
+        transform = StateTransformer.transform
+
+        def counting(self, state, to_isa):
+            calls.append(to_isa)
+            return transform(self, state, to_isa)
+
+        monkeypatch.setattr(StateTransformer, "transform", counting)
+        result = XarTrekCompiler().compile(spec_for(["digit.500"]))
+        first = self._forced_arm_run(result)
+        # x86 -> ARM once; the way back reuses the round trip.
+        assert calls == ["aarch64"]
+        second = self._forced_arm_run(result)
+        assert calls == ["aarch64"]
+        assert second.migrations == first.migrations == 4
+        assert (second.start_s, second.end_s) == (first.start_s, first.end_s)
+        assert set(result.transforms) == {"digit.500"}

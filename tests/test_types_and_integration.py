@@ -1,5 +1,7 @@
 """Top-level types and cross-subsystem integration scenarios."""
 
+import enum
+
 import pytest
 
 from repro import PAPER_BENCHMARKS, SystemMode, Target, build_system
@@ -22,6 +24,32 @@ class TestTarget:
 
     def test_str(self):
         assert str(Target.FPGA) == "fpga"
+
+    def test_text_matches_the_name_derived_enum(self):
+        # Target.__str__ returns a precomputed label. Every way of
+        # printing a target must give what an IntEnum whose __str__
+        # lowercases the member name gives on this Python: an empty
+        # format spec prints the label, and a non-empty one follows the
+        # interpreter's IntEnum rule (the label on 3.10, the int after).
+        class Reference(enum.IntEnum):
+            X86 = 0
+            ARM = 1
+            FPGA = 2
+
+            def __str__(self):
+                return self.name.lower()
+
+        for target in Target:
+            ref = Reference(int(target))
+            assert str(target) == str(ref) == target.name.lower()
+            assert repr(target) == repr(ref).replace("Reference", "Target")
+            assert f"{target}" == f"{ref}"
+            assert "%s|%d|%r" % (target, target, target) == (
+                "%s|%d|%r" % (ref, ref, ref)
+            ).replace("Reference", "Target")
+            for spec in ("", ">6", "<5", "^7", "d", "03d"):
+                assert format(target, spec) == format(ref, spec)
+            assert f"{target!s:>6}" == f"{ref!s:>6}"
 
 
 class TestSpecFor:
